@@ -7,15 +7,19 @@
 //!    opportunity);
 //! 5. unrolled fixed-sequence kernels vs the rolled generic-N construction
 //!    (`addition::add_generic`);
-//! 6. autovectorized SoA kernels vs explicit lock-step `Lanes<8>` execution;
-//! 7. telemetry probe overhead with the feature *disabled* — run once with
+//! 6. telemetry probe overhead with the feature *disabled* — run once with
 //!    the default build and once with `--features telemetry` and diff the
 //!    `telemetry_overhead/*` numbers; the disabled build must be within
 //!    1–2% of a build where the probes were never written (the probes
 //!    const-fold to nothing, see `mf_telemetry::ENABLED`);
-//! 8. persistent worker pool vs per-dispatch scoped spawn for the parallel
+//! 7. persistent worker pool vs per-dispatch scoped spawn for the parallel
 //!    BLAS wrappers (`pool_dispatch`) — small-n dispatch latency is the
 //!    pool's whole reason to exist, large-n must not regress.
+//!
+//! The autovectorized-SoA vs lock-step `Lanes<8>` group (`simd_form`) is
+//! gone: the autovectorized SoA variants it compared against were deleted
+//! once lock-step won every width. Its last numbers are kept as history in
+//! EXPERIMENTS.md ablation 5.
 //!
 //! The criterion shim has no bench filtering; set `MF_ABLATION_SKIP` to a
 //! comma list of group function names (e.g.
@@ -88,40 +92,6 @@ fn kernel_form_ablation(c: &mut Criterion) {
     g.bench_function("generic_rolled_N4", |bch| {
         bch.iter(|| black_box(addition::add_generic(black_box(&a), black_box(&b))))
     });
-    g.finish();
-}
-
-fn simd_form_ablation(c: &mut Criterion) {
-    if std::env::var("MF_ABLATION_SKIP")
-        .map(|v| v.contains("simd_form_ablation"))
-        .unwrap_or(false)
-    {
-        return;
-    }
-    use mf_bench::workloads::rand_f64s;
-    use mf_blas::soa::{self, SoaVec};
-    use mf_core::MultiFloat;
-    let mut g = c.benchmark_group("simd_form");
-    macro_rules! widths {
-        ($n:expr, $label:expr) => {{
-            let n = 4096;
-            let xs = SoaVec::from_slice(
-                &rand_f64s(1, n)
-                    .into_iter()
-                    .map(MultiFloat::<f64, $n>::from)
-                    .collect::<Vec<_>>(),
-            );
-            let ys = xs.clone();
-            g.bench_function(concat!("dot_lockstep_", $label), |bch| {
-                bch.iter(|| black_box(soa::dot(black_box(&xs), black_box(&ys))))
-            });
-            g.bench_function(concat!("dot_autovec_", $label), |bch| {
-                bch.iter(|| black_box(soa::dot_autovec(black_box(&xs), black_box(&ys))))
-            });
-        }};
-    }
-    widths!(2, "N2");
-    widths!(4, "N4");
     g.finish();
 }
 
@@ -336,6 +306,6 @@ criterion_group!(
         .sample_size(30)
         .warm_up_time(std::time::Duration::from_millis(200))
         .measurement_time(std::time::Duration::from_millis(500));
-    targets = eft_ablation, division_ablation, qd_add_ablation, kernel_form_ablation, simd_form_ablation, pool_dispatch_ablation, telemetry_overhead_ablation
+    targets = eft_ablation, division_ablation, qd_add_ablation, kernel_form_ablation, pool_dispatch_ablation, telemetry_overhead_ablation
 );
 criterion_main!(benches);

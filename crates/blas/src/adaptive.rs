@@ -15,16 +15,15 @@
 //!
 //! Chunk boundaries are fixed by element index — **not** by thread count —
 //! so results are bitwise identical across `threads` settings; the
-//! parallel path reuses [`crate::parallel`]'s executor dispatch and its
-//! panic degrade-to-serial contract (a panicking worker chunk is restored
-//! from its snapshot and rerun, adaptively, on the calling thread).
+//! parallel path runs through the crate's chunk runner,
+//! [`crate::parallel::run_chunks`], and its panic degrade-to-serial
+//! contract (a panicking worker chunk is restored from its snapshot and
+//! rerun, adaptively, on the calling thread).
 //!
 //! Only the `max_rung` and `tol_bits` knobs of
 //! [`EscalationPolicy`] apply here: residency (`sticky`/`decay`) and the
 //! escalation budget are properties of the scalar engine's per-value
 //! ladder, while a chunk's rung is decided fresh on every call.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mf_core::adaptive::{EscalationPolicy, Rung};
 use mf_core::guard::{escalated_nonfinite, noncanonical};
@@ -33,7 +32,7 @@ use mf_mpsoft::MpFloat;
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::{trace, Counter};
 
-use crate::parallel::{degraded_rerun, dispatch_chunks, record_degraded, ChunkedMut};
+use crate::parallel::{chunk_ranges, run_chunks};
 use crate::{kernels, Matrix, Scalar};
 
 static ADAPT_CHUNKS: Counter = Counter::new("blas.adaptive.chunks");
@@ -213,50 +212,32 @@ fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
     }
 }
 
-/// The fused base-rung pass: the same `s_mul_acc` accumulation as
-/// [`kernels::dot`] (bitwise identical partial) with the detector inputs —
-/// operand finiteness, naive `f64` head sum, magnitude — gathered in the
-/// same traversal. The independent `f64` chains ride in the execution
-/// slots the serial `F64x2` accumulation leaves idle, so the clean-input
-/// detector cost is close to free.
-fn dot_chunk_base(x: &[F64x2], y: &[F64x2]) -> (F64x2, bool, f64, f64) {
-    // Same AVX2+FMA runtime dispatch as the plain kernels (`kernels.rs`,
-    // `soa.rs`, `tile.rs`): the raw path the overhead gate compares
-    // against gets `vfmadd` lowering, so the base pass must too.
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::fma_frame_allowed() {
-        // SAFETY: `fma_frame_allowed` returns true only for ISA selections
-        // whose avx2+fma features were runtime-detected.
-        return unsafe { dot_chunk_base_fma(x, y) };
+crate::simd::fma_frame! {
+    /// The fused base-rung pass: the same `s_mul_acc` accumulation as
+    /// [`kernels::dot`] (bitwise identical partial) with the detector inputs —
+    /// operand finiteness, naive `f64` head sum, magnitude — gathered in the
+    /// same traversal. The independent `f64` chains ride in the execution
+    /// slots the serial `F64x2` accumulation leaves idle, so the clean-input
+    /// detector cost is close to free. FMA-dispatched like the plain kernels:
+    /// the raw path the overhead gate compares against gets `vfmadd`
+    /// lowering, so the base pass must too.
+    fn dot_chunk_base / dot_chunk_base_body [] (
+        x: &[F64x2],
+        y: &[F64x2],
+    ) -> (F64x2, bool, f64, f64) {
+        let mut acc = F64x2::ZERO;
+        let mut finite = true;
+        let mut naive = 0.0f64;
+        let mut mag = 0.0f64;
+        for (xi, yi) in x.iter().zip(y) {
+            finite &= xi.is_finite() & yi.is_finite();
+            let p = xi.hi() * yi.hi();
+            naive += p;
+            mag += p.abs();
+            acc = acc.s_mul_acc(*xi, *yi);
+        }
+        (acc, finite, naive, mag)
     }
-    dot_chunk_base_body(x, y)
-}
-
-/// AVX2+FMA instantiation of [`dot_chunk_base_body`].
-///
-/// # Safety
-///
-/// Caller must ensure the `avx2` and `fma` CPU features are present.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_chunk_base_fma(x: &[F64x2], y: &[F64x2]) -> (F64x2, bool, f64, f64) {
-    dot_chunk_base_body(x, y)
-}
-
-#[inline(always)]
-fn dot_chunk_base_body(x: &[F64x2], y: &[F64x2]) -> (F64x2, bool, f64, f64) {
-    let mut acc = F64x2::ZERO;
-    let mut finite = true;
-    let mut naive = 0.0f64;
-    let mut mag = 0.0f64;
-    for (xi, yi) in x.iter().zip(y) {
-        finite &= xi.is_finite() & yi.is_finite();
-        let p = xi.hi() * yi.hi();
-        naive += p;
-        mag += p.abs();
-        acc = acc.s_mul_acc(*xi, *yi);
-    }
-    (acc, finite, naive, mag)
 }
 
 /// Evaluate one dot chunk up the ladder. Returns the accepted partial and
@@ -326,39 +307,14 @@ pub fn dot_adaptive(
         return (v, report);
     }
 
-    let mut partials = vec![(F64x2::ZERO, Rung::N2); ranges.len()];
-    let failed = {
-        let slots = ChunkedMut::new(&mut partials);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("blas.adaptive.dot.chunk", (hi - lo) as u64);
-            match catch_unwind(AssertUnwindSafe(|| {
-                dot_chunk(&x[lo..hi], &y[lo..hi], policy)
-            })) {
-                Ok(v) => {
-                    // SAFETY: slot ci is written only by the single
-                    // executor of chunk ci.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = v;
-                    true
-                }
-                Err(_) => false,
-            }
-        })
-    };
-    record_degraded(failed.len());
+    let (partials, failed) = run_chunks("adaptive_dot", &ranges, &mut [(); 0], 0, &|ci, _| {
+        let (lo, hi) = ranges[ci];
+        let _t = trace::span("blas.adaptive.dot.chunk", (hi - lo) as u64);
+        dot_chunk(&x[lo..hi], &y[lo..hi], policy)
+    });
     report.degraded = failed.len() as u64;
     let mut acc = F64x2::ZERO;
-    for (ci, &(lo, hi)) in ranges.iter().enumerate() {
-        let (v, rung) = if failed.binary_search(&ci).is_ok() {
-            let mut out = (F64x2::ZERO, Rung::N2);
-            degraded_rerun("adaptive_dot", lo, hi, || {
-                out = dot_chunk(&x[lo..hi], &y[lo..hi], policy)
-            });
-            out
-        } else {
-            partials[ci]
-        };
+    for (v, rung) in partials {
         report.tally(rung);
         acc += v;
     }
@@ -394,43 +350,27 @@ fn axpy_exact(alpha: F64x2, x: &[F64x2], snap: &[F64x2], y: &mut [F64x2]) {
     }
 }
 
-/// The fused base-rung axpy pass (FMA-dispatched like [`dot_chunk_base`]):
-/// updates `y` in place and returns the detector inputs.
-fn axpy_chunk_base(alpha: F64x2, x: &[F64x2], y: &mut [F64x2]) -> (bool, f64, f64) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::fma_frame_allowed() {
-        // SAFETY: `fma_frame_allowed` returns true only for ISA selections
-        // whose avx2+fma features were runtime-detected.
-        return unsafe { axpy_chunk_base_fma(alpha, x, y) };
+crate::simd::fma_frame! {
+    /// The fused base-rung axpy pass (FMA-dispatched like [`dot_chunk_base`]):
+    /// updates `y` in place and returns the detector inputs.
+    fn axpy_chunk_base / axpy_chunk_base_body [] (
+        alpha: F64x2,
+        x: &[F64x2],
+        y: &mut [F64x2],
+    ) -> (bool, f64, f64) {
+        let mut finite = alpha.is_finite();
+        let mut naive = 0.0f64;
+        let mut mag = 0.0f64;
+        let a_hi = alpha.hi();
+        for (yi, xi) in y.iter_mut().zip(x) {
+            finite &= xi.is_finite() & yi.is_finite();
+            let p = a_hi * xi.hi();
+            naive += p + yi.hi();
+            mag += p.abs() + yi.hi().abs();
+            *yi = yi.s_mul_acc(alpha, *xi);
+        }
+        (finite, naive, mag)
     }
-    axpy_chunk_base_body(alpha, x, y)
-}
-
-/// AVX2+FMA instantiation of [`axpy_chunk_base_body`].
-///
-/// # Safety
-///
-/// Caller must ensure the `avx2` and `fma` CPU features are present.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_chunk_base_fma(alpha: F64x2, x: &[F64x2], y: &mut [F64x2]) -> (bool, f64, f64) {
-    axpy_chunk_base_body(alpha, x, y)
-}
-
-#[inline(always)]
-fn axpy_chunk_base_body(alpha: F64x2, x: &[F64x2], y: &mut [F64x2]) -> (bool, f64, f64) {
-    let mut finite = alpha.is_finite();
-    let mut naive = 0.0f64;
-    let mut mag = 0.0f64;
-    let a_hi = alpha.hi();
-    for (yi, xi) in y.iter_mut().zip(x) {
-        finite &= xi.is_finite() & yi.is_finite();
-        let p = a_hi * xi.hi();
-        naive += p + yi.hi();
-        mag += p.abs() + yi.hi().abs();
-        *yi = yi.s_mul_acc(alpha, *xi);
-    }
-    (finite, naive, mag)
 }
 
 /// Evaluate one axpy chunk up the ladder, in place. Returns the rung.
@@ -501,44 +441,12 @@ pub fn axpy_adaptive(
         return report;
     }
 
-    let mut rungs = vec![Rung::N2; ranges.len()];
-    let failed = {
-        let out = ChunkedMut::new(y);
-        let slots = ChunkedMut::new(&mut rungs);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("blas.adaptive.axpy.chunk", (hi - lo) as u64);
-            // SAFETY: chunk ranges are disjoint and each index runs once.
-            let snap = unsafe { out.slice(lo, hi) }.to_vec();
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: as above; this view lives only inside the closure.
-                let head = unsafe { out.slice(lo, hi) };
-                axpy_chunk(alpha, &x[lo..hi], head, policy)
-            }));
-            match res {
-                Ok(rung) => {
-                    // SAFETY: slot ci is written only by chunk ci's executor.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = rung;
-                    true
-                }
-                Err(_) => {
-                    // SAFETY: the panicked closure's view is dead; restore
-                    // the snapshot for the deterministic serial rerun.
-                    unsafe { out.slice(lo, hi) }.copy_from_slice(&snap);
-                    false
-                }
-            }
-        })
-    };
-    record_degraded(failed.len());
+    let (rungs, failed) = run_chunks("adaptive_axpy", &ranges, y, 1, &|ci, out| {
+        let (lo, hi) = ranges[ci];
+        let _t = trace::span("blas.adaptive.axpy.chunk", (hi - lo) as u64);
+        axpy_chunk(alpha, &x[lo..hi], out, policy)
+    });
     report.degraded = failed.len() as u64;
-    for ci in &failed {
-        let (lo, hi) = ranges[*ci];
-        degraded_rerun("adaptive_axpy", lo, hi, || {
-            rungs[*ci] = axpy_chunk(alpha, &x[lo..hi], &mut y[lo..hi], policy)
-        });
-    }
     for rung in rungs {
         report.tally(rung);
     }
@@ -578,45 +486,18 @@ pub fn gemv_adaptive(
         return (y, report);
     }
 
-    let ranges = crate::parallel::chunk_ranges(a.rows, threads);
-    let mut reports = vec![AdaptiveReport::default(); ranges.len()];
-    let failed = {
-        let out = ChunkedMut::new(&mut y);
-        let slots = ChunkedMut::new(&mut reports);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("blas.adaptive.gemv.chunk", (hi - lo) as u64);
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                let mut local = AdaptiveReport::default();
-                // SAFETY: row ranges are disjoint and each index runs once.
-                let head = unsafe { out.slice(lo, hi) };
-                for (r, out_y) in (lo..hi).zip(head.iter_mut()) {
-                    *out_y = dot_serial(a.row(r), x, policy, &mut local);
-                }
-                local
-            }));
-            match res {
-                Ok(local) => {
-                    // SAFETY: slot ci is written only by chunk ci's executor.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = local;
-                    true
-                }
-                Err(_) => false,
-            }
-        })
-    };
-    record_degraded(failed.len());
-    for ci in &failed {
-        let (lo, hi) = ranges[*ci];
+    let ranges = chunk_ranges(a.rows, threads);
+    let (mut reports, failed) = run_chunks("adaptive_gemv", &ranges, &mut y, 1, &|ci, out| {
+        let (lo, hi) = ranges[ci];
+        let _t = trace::span("blas.adaptive.gemv.chunk", (hi - lo) as u64);
         let mut local = AdaptiveReport::default();
-        degraded_rerun("adaptive_gemv", lo, hi, || {
-            for r in lo..hi {
-                y[r] = dot_serial(a.row(r), x, policy, &mut local);
-            }
-        });
-        local.degraded = 1;
-        reports[*ci] = local;
+        for (r, out_y) in (lo..hi).zip(out.iter_mut()) {
+            *out_y = dot_serial(a.row(r), x, policy, &mut local);
+        }
+        local
+    });
+    for ci in failed {
+        reports[ci].degraded = 1;
     }
     for local in &reports {
         report.merge(local);

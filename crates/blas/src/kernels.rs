@@ -5,55 +5,22 @@
 //! parallelization strategies, using ij loop ordering for GEMV and ikj
 //! loop ordering for GEMM").
 //!
-//! Every public kernel is runtime-dispatched the same way as the tiled
-//! GEMM path ([`crate::tile`]): on x86-64 with AVX2+FMA detected the loop
+//! Every public kernel is runtime-dispatched through
+//! [`crate::simd::fma_frame!`]: on x86-64 with AVX2+FMA detected the loop
 //! body is compiled with those features enabled, so the EFT `mul_add`s
 //! lower to `vfmadd` instructions instead of soft-float libm calls. Both
 //! lowerings are correctly rounded, so the dispatched and portable builds
 //! produce bit-identical results; the check itself is one cached atomic
-//! load per kernel call.
+//! load per kernel call. GEMV and GEMM are written as row-range bodies
+//! (`gemv_rows`, `gemm_rows`), so the thread-parallel wrappers run the
+//! same dispatched body per chunk as the serial kernels run over all rows.
 
 use crate::{Matrix, Scalar};
 use mf_telemetry::audit::{self, OpClass};
 
-/// Expand one kernel into the portable `*_body`, the AVX2+FMA
-/// `#[target_feature]` instantiation of that body, and the dispatching
-/// public wrapper (the tile.rs pattern, applied to the flat kernels).
-/// The `#[inline(always)]` body plus `#[inline]` EFT primitives guarantee
-/// the whole hot loop lands inside the feature-enabled frame.
-macro_rules! fma_dispatched {
-    ($(#[$doc:meta])* pub fn $name:ident / $body:ident / $fma:ident
-     <S: Scalar>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $code:block) => {
-        #[inline(always)]
-        fn $body<S: Scalar>($($arg: $ty),*) $(-> $ret)? $code
-
-        /// AVX2+FMA instantiation of the kernel body.
-        ///
-        /// # Safety
-        ///
-        /// Caller must ensure the `avx2` and `fma` CPU features are present.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn $fma<S: Scalar>($($arg: $ty),*) $(-> $ret)? {
-            $body($($arg),*)
-        }
-
-        $(#[$doc])*
-        pub fn $name<S: Scalar>($($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            if crate::simd::fma_frame_allowed() {
-                // SAFETY: `fma_frame_allowed` returns true only for ISA
-                // selections whose avx2+fma features were runtime-detected.
-                return unsafe { $fma($($arg),*) };
-            }
-            $body($($arg),*)
-        }
-    };
-}
-
-fma_dispatched! {
+crate::simd::fma_frame! {
     /// Dispatch half of [`axpy`] (audit sampling lives in the wrapper).
-    pub fn axpy_dispatched / axpy_body / axpy_fma<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+    pub fn axpy_dispatched / axpy_body [S: Scalar] (alpha: S, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), y.len());
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = yi.s_mul_acc(alpha, xi);
@@ -77,9 +44,9 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     }
 }
 
-fma_dispatched! {
+crate::simd::fma_frame! {
     /// Dispatch half of [`dot`] (audit sampling lives in the wrapper).
-    pub fn dot_dispatched / dot_body / dot_fma<S: Scalar>(x: &[S], y: &[S]) -> S {
+    pub fn dot_dispatched / dot_body [S: Scalar] (x: &[S], y: &[S]) -> S {
         assert_eq!(x.len(), y.len());
         let mut acc = S::s_zero();
         for (&xi, &yi) in x.iter().zip(y) {
@@ -105,70 +72,87 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc
 }
 
-fma_dispatched! {
-    /// `y <- alpha * A * x + beta * y`, `ij` loop order (row-major `A`).
-    ///
-    /// Standard BLAS semantics: `beta == 0` *overwrites* `y` without reading
-    /// it, so NaN/Inf in an uninitialized output buffer never propagates. The
-    /// branch is hoisted out of the row loop; the loop bodies stay branch-free.
-    pub fn gemv / gemv_body / gemv_fma<S: Scalar>(
+crate::simd::fma_frame! {
+    /// [`gemv`] over the row block `lo..lo + y.len()`:
+    /// `y[r] <- alpha * A[lo + r] · x + beta * y[r]`. The `beta == 0`
+    /// branch is hoisted out of the row loop; the loop bodies stay
+    /// branch-free.
+    pub(crate) fn gemv_rows / gemv_rows_body [S: Scalar] (
         alpha: S,
         a: &Matrix<S>,
         x: &[S],
         beta: S,
         y: &mut [S],
+        lo: usize,
     ) {
-        assert_eq!(a.cols, x.len());
-        assert_eq!(a.rows, y.len());
         if beta.s_is_zero() {
-            for i in 0..a.rows {
-                y[i] = alpha.s_mul(dot_body(a.row(i), x));
+            for (r, yi) in (lo..).zip(y.iter_mut()) {
+                *yi = alpha.s_mul(dot_body(a.row(r), x));
             }
         } else {
-            for i in 0..a.rows {
-                let acc = dot_body(a.row(i), x);
-                y[i] = beta.s_mul(y[i]).s_add(alpha.s_mul(acc));
+            for (r, yi) in (lo..).zip(y.iter_mut()) {
+                let acc = dot_body(a.row(r), x);
+                *yi = beta.s_mul(*yi).s_add(alpha.s_mul(acc));
             }
         }
     }
 }
 
-fma_dispatched! {
-    /// `C <- alpha * A * B + beta * C`, `ikj` loop order.
-    pub fn gemm / gemm_body / gemm_fma<S: Scalar>(
+/// `y <- alpha * A * x + beta * y`, `ij` loop order (row-major `A`).
+///
+/// Standard BLAS semantics: `beta == 0` *overwrites* `y` without reading
+/// it, so NaN/Inf in an uninitialized output buffer never propagates.
+pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S]) {
+    assert_eq!(a.cols, x.len());
+    assert_eq!(a.rows, y.len());
+    gemv_rows(alpha, a, x, beta, y, 0)
+}
+
+crate::simd::fma_frame! {
+    /// GEMM over the output row block `lo..hi`, held in `c` (row-major,
+    /// `b.cols` wide): `C[lo..hi] <- alpha * A[lo..hi] * B + beta * C[lo..hi]`,
+    /// `ikj` loop order.
+    pub(crate) fn gemm_rows / gemm_rows_body [S: Scalar] (
         alpha: S,
         a: &Matrix<S>,
         b: &Matrix<S>,
         beta: S,
-        c: &mut Matrix<S>,
+        c: &mut [S],
+        lo: usize,
+        hi: usize,
     ) {
-        assert_eq!(a.cols, b.rows);
-        assert_eq!(c.rows, a.rows);
-        assert_eq!(c.cols, b.cols);
         // Scale C by beta first (ikj accumulates into C). beta == 0 overwrites
         // instead of scaling (standard BLAS semantics: garbage/NaN in C must
         // not propagate); the branch is per-call, the loops stay branch-free.
         if beta.s_is_zero() {
-            for v in &mut c.data {
+            for v in c.iter_mut() {
                 *v = S::s_zero();
             }
         } else {
-            for v in &mut c.data {
+            for v in c.iter_mut() {
                 *v = beta.s_mul(*v);
             }
         }
         let n = b.cols;
-        for i in 0..a.rows {
+        for (bi, i) in (lo..hi).enumerate() {
+            let crow = &mut c[bi * n..(bi + 1) * n];
             for k in 0..a.cols {
                 let aik = alpha.s_mul(a.at(i, k));
                 let brow = &b.data[k * n..(k + 1) * n];
-                let crow = &mut c.data[i * n..(i + 1) * n];
                 for j in 0..n {
                     crow[j] = crow[j].s_mul_acc(aik, brow[j]);
                 }
             }
         }
     }
+}
+
+/// `C <- alpha * A * B + beta * C`, `ikj` loop order.
+pub fn gemm<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut Matrix<S>) {
+    assert_eq!(a.cols, b.rows);
+    assert_eq!(c.rows, a.rows);
+    assert_eq!(c.cols, b.cols);
+    gemm_rows(alpha, a, b, beta, &mut c.data, 0, a.rows)
 }
 
 #[cfg(test)]
@@ -460,7 +444,7 @@ mod tests {
         let mut c_disp = c0.clone();
         gemm(al, &a, &b, be, &mut c_disp);
         let mut c_body = c0.clone();
-        gemm_body(al, &a, &b, be, &mut c_body);
+        gemm_rows_body(al, &a, &b, be, &mut c_body.data, 0, m);
         for i in 0..m * n {
             assert_eq!(c_disp.data[i].components(), c_body.data[i].components());
         }
@@ -472,7 +456,7 @@ mod tests {
         let mut yv_disp = vec![F64x2::from(0.5); m];
         gemv(al, &a, &x, be, &mut yv_disp);
         let mut yv_body = vec![F64x2::from(0.5); m];
-        gemv_body(al, &a, &x, be, &mut yv_body);
+        gemv_rows_body(al, &a, &x, be, &mut yv_body, 0);
         for i in 0..m {
             assert_eq!(yv_disp[i].components(), yv_body[i].components(), "row {i}");
         }

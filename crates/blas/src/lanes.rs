@@ -9,6 +9,13 @@
 //! GPU lane runs the same FPAN on its own data), and it removes the need
 //! for the autovectorizer to discover the parallelism on its own.
 //!
+//! The lock-step DOT and AXPY bodies ([`lockstep_dot`], [`lockstep_axpy`])
+//! are written once against the [`VLane`] trait. [`Lanes`] instantiates
+//! them as the portable reference path; the intrinsic realizations in
+//! [`crate::simd`] (`V8Avx2`, `V8Avx512`, `V8Neon`) instantiate the same
+//! bodies, so every realization runs one gate graph and one reduction
+//! structure.
+//!
 //! Semantics notes:
 //!
 //! * Arithmetic, `mul_add`, `sqrt`, `abs`, `min`/`max` are lane-wise and
@@ -29,42 +36,6 @@ use mf_core::{addition, multiplication, FloatBase, MultiFloat};
 pub struct Lanes<T: FloatBase, const L: usize>(pub [T; L]);
 
 impl<T: FloatBase, const L: usize> Lanes<T, L> {
-    #[inline(always)]
-    pub fn splat(v: T) -> Self {
-        Lanes([v; L])
-    }
-
-    #[inline(always)]
-    pub fn from_slice(s: &[T]) -> Self {
-        let mut out = [T::ZERO; L];
-        out.copy_from_slice(&s[..L]);
-        Lanes(out)
-    }
-
-    /// Masked load: fills the first `min(s.len(), L)` lanes and
-    /// zero-pads the rest, so chunk tails shorter than `L` load without
-    /// panicking ([`Lanes::from_slice`] requires a full lane block) and
-    /// without callers hand-rolling padding. Zero lanes are inert through
-    /// the element-wise FPANs — they can only *weaken* the `FastTwoSum`
-    /// exponent preconditions (both sides' lane-max exponents move toward
-    /// `exponent(0)` monotonically), never falsely trip them — and the
-    /// matching [`Lanes::store_partial`] discards them.
-    #[inline(always)]
-    pub fn from_slice_partial(s: &[T]) -> Self {
-        let mut out = [T::ZERO; L];
-        let take = s.len().min(L);
-        out[..take].copy_from_slice(&s[..take]);
-        Lanes(out)
-    }
-
-    /// Masked store: writes the first `min(out.len(), L)` lanes; padding
-    /// lanes from [`Lanes::from_slice_partial`] are discarded.
-    #[inline(always)]
-    pub fn store_partial(self, out: &mut [T]) {
-        let take = out.len().min(L);
-        out[..take].copy_from_slice(&self.0[..take]);
-    }
-
     #[inline(always)]
     fn map(self, f: impl Fn(T) -> T) -> Self {
         let mut out = self.0;
@@ -282,13 +253,167 @@ impl<T: FloatBase, const L: usize> FloatBase for Lanes<T, L> {
 /// spill cost is smaller than the dependency-chain stalls it buys off.
 pub const SIMD_LANES: usize = 8;
 
-/// Lock-step DOT over component slices: processes `SIMD_LANES` elements per
-/// step with `T = Lanes<8>`, giving each FPAN wire a full vector register.
+/// A vector of [`VLane::WIDTH`] lanes of `Elem`, usable as the base type
+/// of the generic FPAN networks. [`Lanes`] and the intrinsic realizations
+/// in [`crate::simd`] implement it; the lock-step bodies below are written
+/// once against it.
+pub(crate) trait VLane: FloatBase {
+    type Elem: FloatBase;
+    const WIDTH: usize;
+
+    fn lanes(&self) -> &[Self::Elem];
+    fn lanes_mut(&mut self) -> &mut [Self::Elem];
+
+    /// Masked load: fills the first `min(s.len(), WIDTH)` lanes and
+    /// zero-pads the rest, so chunk tails shorter than `WIDTH` load
+    /// without callers hand-rolling padding. Zero lanes are inert through
+    /// the element-wise FPANs — they can only *weaken* the `FastTwoSum`
+    /// exponent preconditions (both sides' lane-max exponents move toward
+    /// `exponent(0)` monotonically), never falsely trip them — and
+    /// [`VLane::store`] discards them.
+    #[inline(always)]
+    fn load(s: &[Self::Elem]) -> Self {
+        let mut v = Self::ZERO;
+        let take = s.len().min(Self::WIDTH);
+        v.lanes_mut()[..take].copy_from_slice(&s[..take]);
+        v
+    }
+
+    /// Masked store: writes the first `min(out.len(), WIDTH)` lanes;
+    /// padding lanes from [`VLane::load`] are discarded.
+    #[inline(always)]
+    fn store(&self, out: &mut [Self::Elem]) {
+        let take = out.len().min(Self::WIDTH);
+        out[..take].copy_from_slice(&self.lanes()[..take]);
+    }
+
+    #[inline(always)]
+    fn splat(e: Self::Elem) -> Self {
+        let mut v = Self::ZERO;
+        v.lanes_mut().fill(e);
+        v
+    }
+}
+
+impl<T: FloatBase, const L: usize> VLane for Lanes<T, L> {
+    type Elem = T;
+    const WIDTH: usize = L;
+
+    #[inline(always)]
+    fn lanes(&self) -> &[T] {
+        &self.0
+    }
+
+    #[inline(always)]
+    fn lanes_mut(&mut self) -> &mut [T] {
+        &mut self.0
+    }
+}
+
+/// Lock-step DOT body over component slices: `WIDTH` elements per step
+/// through the generic mul/add FPANs at `T = V`, a ceil-half tree
+/// reduction over the accumulator lanes, then a scalar tail. The
+/// reduction structure fixes the bits; only the realization of the lane
+/// arithmetic varies with `V`.
+#[inline(always)]
+pub(crate) fn lockstep_dot<V: VLane, const N: usize>(
+    xc: &[Vec<V::Elem>],
+    xoff: usize,
+    yc: &[Vec<V::Elem>],
+    yoff: usize,
+    n: usize,
+) -> MultiFloat<V::Elem, N> {
+    let w = V::WIDTH;
+    let xs: [&[V::Elem]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
+    let ys: [&[V::Elem]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
+    let mut acc = [V::ZERO; N];
+    let chunks = n / w;
+    for c in 0..chunks {
+        let block = c * w..(c + 1) * w;
+        let xi: [V; N] = core::array::from_fn(|k| V::load(&xs[k][block.clone()]));
+        let yi: [V; N] = core::array::from_fn(|k| V::load(&ys[k][block.clone()]));
+        acc = addition::add(&acc, &multiplication::mul(&xi, &yi));
+    }
+    // Reduce the lanes in place: lane l absorbs lane l + ceil(width/2),
+    // and an odd top lane rides down to the next round unpaired. (A
+    // floor-half tree — `width /= 2` then add `l + width` — silently drops
+    // the top lane whenever `WIDTH` is not a power of two.)
+    let lane =
+        |acc: &[V; N], l: usize| -> [V::Elem; N] { core::array::from_fn(|k| acc[k].lanes()[l]) };
+    let mut width = w;
+    while width > 1 {
+        let half = width.div_ceil(2);
+        for l in 0..width / 2 {
+            let s = addition::add(&lane(&acc, l), &lane(&acc, l + half));
+            for k in 0..N {
+                acc[k].lanes_mut()[l] = s[k];
+            }
+        }
+        width = half;
+    }
+    // Scalar tail: reductions are association-order sensitive, so the tail
+    // stays serial to keep the bits of the lane structure.
+    let mut total = lane(&acc, 0);
+    for i in chunks * w..n {
+        let xi: [V::Elem; N] = core::array::from_fn(|k| xs[k][i]);
+        let yi: [V::Elem; N] = core::array::from_fn(|k| ys[k][i]);
+        total = addition::add(&total, &multiplication::mul(&xi, &yi));
+    }
+    MultiFloat::from_components(total)
+}
+
+/// One lock-step AXPY step over `len <= WIDTH` elements at the given
+/// offsets (masked when `len < WIDTH`).
+#[inline(always)]
+fn axpy_step<V: VLane, const N: usize>(
+    av: &[V; N],
+    xc: &[Vec<V::Elem>],
+    xo: usize,
+    yc: &mut [Vec<V::Elem>],
+    yo: usize,
+    len: usize,
+) {
+    let xi: [V; N] = core::array::from_fn(|k| V::load(&xc[k][xo..xo + len]));
+    let yi: [V; N] = core::array::from_fn(|k| V::load(&yc[k][yo..yo + len]));
+    let s = addition::add(&multiplication::mul(av, &xi), &yi);
+    for k in 0..N {
+        s[k].store(&mut yc[k][yo..yo + len]);
+    }
+}
+
+/// Lock-step AXPY body over component slices. AXPY is element-wise, so —
+/// unlike the reduction — the tail shorter than `WIDTH` also rides the
+/// vector lanes through the masked [`VLane::load`]/[`VLane::store`] pair:
+/// each real lane computes the bits of the scalar loop, padding lanes are
+/// zero in and discarded out.
+#[inline(always)]
+pub(crate) fn lockstep_axpy<V: VLane, const N: usize>(
+    alpha: MultiFloat<V::Elem, N>,
+    xc: &[Vec<V::Elem>],
+    xoff: usize,
+    yc: &mut [Vec<V::Elem>],
+    yoff: usize,
+    n: usize,
+) {
+    let w = V::WIDTH;
+    let a = alpha.components();
+    let av: [V; N] = core::array::from_fn(|k| V::splat(a[k]));
+    let chunks = n / w;
+    for c in 0..chunks {
+        axpy_step(&av, xc, xoff + c * w, yc, yoff + c * w, w);
+    }
+    let done = chunks * w;
+    if done < n {
+        axpy_step(&av, xc, xoff + done, yc, yoff + done, n - done);
+    }
+}
+
+/// Lock-step DOT over component slices at [`SIMD_LANES`] lanes.
 ///
 /// At `T = f64` this dispatches to the explicit-intrinsic realization
 /// selected by [`crate::simd::active`] (bit-identical by construction:
-/// same lane structure, correctly-rounded lane ops); other base types run
-/// the portable [`Lanes`] body.
+/// same body, correctly-rounded lane ops); other base types run the
+/// portable [`Lanes`] instantiation.
 pub fn dot_lockstep<T: FloatBase, const N: usize>(
     xc: &[Vec<T>],
     xoff: usize,
@@ -302,7 +427,9 @@ pub fn dot_lockstep<T: FloatBase, const N: usize>(
     dot_lockstep_l::<T, N, SIMD_LANES>(xc, xoff, yc, yoff, n)
 }
 
-/// Lock-step DOT at an explicit lane count.
+/// Lock-step DOT at an explicit lane count: the portable [`Lanes`]
+/// instantiation of [`lockstep_dot`], and the conformance reference for
+/// every realization.
 pub fn dot_lockstep_l<T: FloatBase, const N: usize, const L: usize>(
     xc: &[Vec<T>],
     xoff: usize,
@@ -310,46 +437,7 @@ pub fn dot_lockstep_l<T: FloatBase, const N: usize, const L: usize>(
     yoff: usize,
     n: usize,
 ) -> MultiFloat<T, N> {
-    let xs: [&[T]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
-    let ys: [&[T]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
-    let mut acc: [Lanes<T, L>; N] = [Lanes([T::ZERO; L]); N];
-    let chunks = n / L;
-    for c in 0..chunks {
-        let base = c * L;
-        let xi: [Lanes<T, L>; N] = core::array::from_fn(|k| Lanes::from_slice(&xs[k][base..]));
-        let yi: [Lanes<T, L>; N] = core::array::from_fn(|k| Lanes::from_slice(&ys[k][base..]));
-        let p = multiplication::mul(&xi, &yi);
-        acc = addition::add(&acc, &p);
-    }
-    // Reduce the lanes: extract L scalar expansions and sum them.
-    let mut lanes_out: [[T; N]; L] = [[T::ZERO; N]; L];
-    for l in 0..L {
-        for k in 0..N {
-            lanes_out[l][k] = acc[k].0[l];
-        }
-    }
-    // Ceil-half tree reduction: lane l pairs with lane l + ceil(width/2),
-    // and an odd top lane rides down to the next round unpaired. The
-    // previous floor-half version (`width /= 2` then add `l + width`)
-    // silently dropped the top lane(s) whenever `L` was not a power of
-    // two — e.g. at L=3, lanes_out[2] was never added.
-    let mut width = L;
-    while width > 1 {
-        let half = width.div_ceil(2);
-        for l in 0..width / 2 {
-            lanes_out[l] = addition::add(&lanes_out[l], &lanes_out[l + half]);
-        }
-        width = half;
-    }
-    // Tail elements (scalar).
-    let mut total = lanes_out[0];
-    for i in chunks * L..n {
-        let xi: [T; N] = core::array::from_fn(|k| xs[k][i]);
-        let yi: [T; N] = core::array::from_fn(|k| ys[k][i]);
-        let p = multiplication::mul(&xi, &yi);
-        total = addition::add(&total, &p);
-    }
-    MultiFloat::from_components(total)
+    lockstep_dot::<Lanes<T, L>, N>(xc, xoff, yc, yoff, n)
 }
 
 /// Lock-step AXPY over component slices.
@@ -363,14 +451,8 @@ pub fn axpy_lockstep<T: FloatBase, const N: usize>(
 }
 
 /// Lock-step AXPY over component slices starting at the given offsets
-/// (used by the SoA GEMM inner loop, where x/y are matrix rows).
-///
-/// At `T = f64` this dispatches like [`dot_lockstep`]. AXPY is
-/// element-wise, so — unlike the reduction — the tail shorter than `L`
-/// also rides the vector lanes, via the masked
-/// [`Lanes::from_slice_partial`]/[`Lanes::store_partial`] pair (each real
-/// lane computes the same bits as the old scalar tail loop; padding lanes
-/// are zero in, discarded out).
+/// (used by the SoA GEMM inner loop, where x/y are matrix rows). At
+/// `T = f64` this dispatches like [`dot_lockstep`].
 pub fn axpy_lockstep_at<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
     xc: &[Vec<T>],
@@ -382,34 +464,7 @@ pub fn axpy_lockstep_at<T: FloatBase, const N: usize>(
     if crate::simd::try_axpy_f64::<T, N>(alpha, xc, xoff, yc, yoff, n) {
         return;
     }
-    const L: usize = SIMD_LANES;
-    let a = alpha.components();
-    let av: [Lanes<T, L>; N] = core::array::from_fn(|k| Lanes::splat(a[k]));
-    let chunks = n / L;
-    for c in 0..chunks {
-        let base = c * L;
-        let xi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice(&xc[k][xoff + base..]));
-        let yi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice(&yc[k][yoff + base..]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            yc[k][yoff + base..yoff + base + L].copy_from_slice(&s[k].0);
-        }
-    }
-    let done = chunks * L;
-    if done < n {
-        let xi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice_partial(&xc[k][xoff + done..xoff + n]));
-        let yi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice_partial(&yc[k][yoff + done..yoff + n]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            s[k].store_partial(&mut yc[k][yoff + done..yoff + n]);
-        }
-    }
+    lockstep_axpy::<Lanes<T, SIMD_LANES>, N>(alpha, xc, xoff, yc, yoff, n)
 }
 
 #[cfg(test)]
@@ -582,24 +637,37 @@ mod tests {
         }
     }
 
-    /// `from_slice` panics on short tails by contract; the masked pair
-    /// must handle every length `0..=L` without padding leaking out.
+    /// The masked [`VLane::load`]/[`VLane::store`] pair at every length
+    /// `0..=L`: short loads zero-fill, short stores leave the untouched
+    /// region intact, and NaN / inf / subnormal / `-0.0` survive the
+    /// round-trip bitwise.
     #[test]
     fn partial_load_store_round_trip() {
-        const L: usize = 8;
+        const L: usize = SIMD_LANES;
         for len in 0..=L {
             let src: Vec<f64> = (0..len).map(|i| -(i as f64) - 1.0).collect();
-            let v = Lanes::<f64, L>::from_slice_partial(&src);
+            let v = Lanes::<f64, L>::load(&src);
             for l in 0..L {
                 let want = if l < len { -(l as f64) - 1.0 } else { 0.0 };
                 assert_eq!(v.0[l], want, "len={len} lane {l}");
             }
-            let mut out = [7.5f64; L];
-            v.store_partial(&mut out[..len]);
+            let mut out = [7.5f64; L + 2];
+            v.store(&mut out[..len]);
             for (i, &o) in out.iter().enumerate() {
                 let want = if i < len { -(i as f64) - 1.0 } else { 7.5 };
                 assert_eq!(o, want, "len={len} out[{i}]");
             }
+        }
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            -0.0,
+        ];
+        let v = Lanes::<f64, L>::load(&specials);
+        for (i, s) in specials.iter().enumerate() {
+            assert_eq!(v.0[i].to_bits(), s.to_bits(), "special {i}");
         }
     }
 

@@ -8,26 +8,33 @@
 //! * **GEMV** — `y <- α·A·x + β·y` (matrix-vector), `ij` loop order
 //! * **GEMM** — `C <- α·A·B + β·C` (matrix-matrix), `ikj` loop order
 //!
-//! Both loop orders match the paper's setup. Kernels come in three forms:
+//! Both loop orders match the paper's setup. The crate is organized as:
 //!
 //! * [`kernels`] — scalar array-of-structs kernels, generic over [`Scalar`]
 //!   (every arithmetic type in the workspace: `f64`/`f32`, `MultiFloat`,
 //!   QD, CAMPARY), used for all baselines;
-//! * [`soa`] — structure-of-arrays kernels for `MultiFloat`, the layout
-//!   that lets LLVM autovectorize the branch-free FPAN arithmetic across
-//!   elements (the paper's SIMD mechanism; branchy baselines *cannot* be
-//!   written this way, which is the source of the order-of-magnitude gap);
-//! * [`lanes`] — explicit lock-step SIMD execution: the same kernels
-//!   instantiated at `T = Lanes<8>` (one AVX-512 register per FPAN wire),
-//!   removing the dependence on autovectorization;
+//! * [`soa`] — structure-of-arrays kernels for `MultiFloat`: unit-stride
+//!   component loads let the branch-free FPAN arithmetic run across
+//!   elements in lock-step (the paper's SIMD mechanism; branchy baselines
+//!   *cannot* be written this way, which is the source of the
+//!   order-of-magnitude gap);
+//! * [`lanes`] — the one lock-step DOT body and the one lock-step AXPY
+//!   body, generic over a lane type; [`lanes::Lanes`] instantiates them as
+//!   the portable reference path;
+//! * [`simd`] — intrinsic lane types (AVX2, AVX-512, NEON) instantiating
+//!   the same bodies, the `MF_SIMD` selection ladder, and the one
+//!   AVX2+FMA frame macro every other kernel is dispatched through;
+//! * [`tile`] — cache-blocked GEMM over SoA matrices;
+//! * [`adaptive`] — chunk-granular precision escalation over `F64x2`;
 //! * [`mp`] — kernels over the limb-based `MpFloat` (the GMP/MPFR-class
 //!   baseline, with its allocation and branching costs included, as in the
 //!   real libraries);
-//! * [`parallel`] — chunked thread-parallel wrappers running on the
-//!   persistent worker [`pool`] (or per-dispatch `std::thread::scope`
-//!   when `MF_BLAS_POOL=off`; the paper runs thread-per-core; this
-//!   container has one core, so the harness reports the max over
-//!   serial/parallel — see DESIGN.md T7).
+//! * [`parallel`] — chunked thread-parallel wrappers and the one chunk
+//!   runner every dispatching entry point uses, running on the persistent
+//!   worker [`pool`] (or per-dispatch `std::thread::scope` when
+//!   `MF_BLAS_POOL=off`). The paper runs thread-per-core; on few-core
+//!   hosts the harness reports the max over serial/parallel — see
+//!   DESIGN.md T7.
 
 pub mod adaptive;
 pub mod kernels;

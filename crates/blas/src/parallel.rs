@@ -2,10 +2,9 @@
 //!
 //! The paper runs every kernel in thread-per-physical-core and
 //! thread-per-logical-core configurations and reports the max. These
-//! wrappers provide the same knob; on this reproduction's single-core
-//! container they mostly measure overhead (recorded as such in
-//! EXPERIMENTS.md, substitution T7), but the implementations are real and
-//! scale on multi-core hosts.
+//! wrappers provide the same knob. On few-core hosts they mostly measure
+//! dispatch overhead (recorded as such in EXPERIMENTS.md, substitution
+//! T7), but the implementations are real and scale on multi-core hosts.
 //!
 //! # Executors
 //!
@@ -22,15 +21,18 @@
 //!
 //! # Panic isolation
 //!
-//! Every chunk runs its kernel under [`std::panic::catch_unwind`]. A
-//! panicking chunk no longer poisons the whole call: mutating kernels
-//! snapshot their output chunk first and restore it on panic, and the
-//! dispatcher then *degrades* the failed chunks to the serial kernel on the
-//! calling thread (counted in `blas.parallel.degraded_*` telemetry). Only
-//! if the serial retry panics too does the panic propagate — and then with
-//! the kernel name and chunk range in the message instead of an opaque
-//! `join().unwrap()`. These semantics are identical on both executors:
-//! the chunk closure catches its own panics, so the pool never sees one.
+//! Every dispatching entry point in the crate — the wrappers here, the
+//! adaptive entry points and the tiled GEMM — runs its chunks through one
+//! runner, [`run_chunks`]. Each chunk's kernel runs under
+//! [`std::panic::catch_unwind`]. A panicking chunk does not poison the
+//! whole call: the runner snapshots the chunk's output slice first and
+//! restores it on panic, then *degrades* the failed chunks to a serial
+//! rerun on the calling thread, in chunk order (counted in
+//! `blas.parallel.degraded_*` telemetry). Only if the serial retry panics
+//! too does the panic propagate — and then with the kernel name and chunk
+//! range in the message instead of an opaque `join().unwrap()`. These
+//! semantics are identical on both executors: the chunk closure catches
+//! its own panics, so the pool never sees one.
 
 use crate::{kernels, Matrix, Scalar};
 use mf_telemetry::{trace, Counter, Histogram};
@@ -67,7 +69,7 @@ fn record_dispatch(ranges: &[(usize, usize)]) {
 }
 
 #[inline]
-pub(crate) fn record_degraded(chunks: usize) {
+fn record_degraded(chunks: usize) {
     if !mf_telemetry::ENABLED || chunks == 0 {
         return;
     }
@@ -77,7 +79,7 @@ pub(crate) fn record_degraded(chunks: usize) {
 
 /// Worker count: the `MF_BLAS_THREADS` environment variable when set to a
 /// positive integer (reproducible benchmarking), otherwise the machine's
-/// available parallelism (1 on this container).
+/// available parallelism.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("MF_BLAS_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -124,7 +126,7 @@ fn describe_panic(p: &(dyn std::any::Any + Send)) -> String {
 /// shares the raw base pointer instead; every chunk index maps to an
 /// element range from [`chunk_ranges`], and those ranges never overlap, so
 /// no two concurrently live `slice` views alias.
-pub(crate) struct ChunkedMut<'a, S> {
+struct ChunkedMut<'a, S> {
     ptr: *mut S,
     len: usize,
     _life: PhantomData<&'a mut [S]>,
@@ -136,7 +138,7 @@ pub(crate) struct ChunkedMut<'a, S> {
 unsafe impl<S: Send> Sync for ChunkedMut<'_, S> {}
 
 impl<'a, S> ChunkedMut<'a, S> {
-    pub(crate) fn new(data: &'a mut [S]) -> Self {
+    fn new(data: &'a mut [S]) -> Self {
         ChunkedMut {
             ptr: data.as_mut_ptr(),
             len: data.len(),
@@ -150,7 +152,7 @@ impl<'a, S> ChunkedMut<'a, S> {
     /// a live view; each chunk index must be executed at most once per
     /// dispatch (both executors guarantee this).
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [S] {
+    unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [S] {
         debug_assert!(lo <= hi && hi <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo)
     }
@@ -161,7 +163,7 @@ impl<'a, S> ChunkedMut<'a, S> {
 /// kernel panics and report them through the return value — both executors
 /// treat an unwinding task as a contract violation (the pool swallows it
 /// defensively; see `pool.task_panics`).
-pub(crate) fn dispatch_chunks(nchunks: usize, task: &(dyn Fn(usize) -> bool + Sync)) -> Vec<usize> {
+fn dispatch_chunks(nchunks: usize, task: &(dyn Fn(usize) -> bool + Sync)) -> Vec<usize> {
     let failed = Mutex::new(Vec::new());
     let run = |ci: usize| {
         if !task(ci) {
@@ -186,24 +188,9 @@ pub(crate) fn dispatch_chunks(nchunks: usize, task: &(dyn Fn(usize) -> bool + Sy
     failed
 }
 
-/// Run a mutating kernel over `out` under panic isolation: on panic the
-/// chunk is restored from a pre-kernel snapshot (a panicking kernel may
-/// have partially written it) so the dispatcher can deterministically rerun
-/// the serial kernel over the same data. Returns `true` on success.
-fn isolated<S: Scalar>(out: &mut [S], f: impl FnOnce(&mut [S])) -> bool {
-    let snapshot = out.to_vec();
-    match catch_unwind(AssertUnwindSafe(|| f(out))) {
-        Ok(()) => true,
-        Err(_) => {
-            out.copy_from_slice(&snapshot);
-            false
-        }
-    }
-}
-
 /// Serial retry of a degraded chunk. A second (deterministic) panic
 /// propagates with the kernel name and chunk range attached.
-pub(crate) fn degraded_rerun(kernel: &str, lo: usize, hi: usize, f: impl FnOnce()) {
+fn degraded_rerun(kernel: &str, lo: usize, hi: usize, f: impl FnOnce()) {
     // On the timeline a degrade shows as a serial span on the dispatching
     // thread *after* the worker spans — the visual signature of a panic
     // falling back to the serial kernel.
@@ -216,6 +203,63 @@ pub(crate) fn degraded_rerun(kernel: &str, lo: usize, hi: usize, f: impl FnOnce(
     }
 }
 
+/// The crate's one chunk runner. Runs `body(ci, part)` for every chunk
+/// `ci` of `ranges` through [`dispatch_chunks`], where `part` is chunk
+/// `ci`'s output slice `out[lo * stride..hi * stride]` (reduce-only
+/// dispatches pass an empty `out` and `stride = 0`). Each body runs under
+/// `catch_unwind` with a snapshot of `part` that is restored on panic;
+/// failed chunks are then recorded ([`record_degraded`]) and rerun
+/// serially in chunk order, a second panic propagating with `kernel` and
+/// the chunk range in the message. Returns the per-chunk results in chunk
+/// order and the sorted indices of the chunks that degraded.
+pub(crate) fn run_chunks<S: Copy + Send, R: Send>(
+    kernel: &str,
+    ranges: &[(usize, usize)],
+    out: &mut [S],
+    stride: usize,
+    body: &(dyn Fn(usize, &mut [S]) -> R + Sync),
+) -> (Vec<R>, Vec<usize>) {
+    let mut results: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
+    let failed = {
+        let parts = ChunkedMut::new(out);
+        let slots = ChunkedMut::new(&mut results);
+        dispatch_chunks(ranges.len(), &|ci| {
+            let (lo, hi) = ranges[ci];
+            // SAFETY: chunk ranges are disjoint, so the element ranges
+            // lo*stride..hi*stride are too (or all empty at stride 0), and
+            // each index runs once; slot ci is written only by chunk ci.
+            let (part, slot) = unsafe {
+                (
+                    parts.slice(lo * stride, hi * stride),
+                    slots.slice(ci, ci + 1),
+                )
+            };
+            let snapshot = part.to_vec();
+            match catch_unwind(AssertUnwindSafe(|| body(ci, &mut *part))) {
+                Ok(r) => {
+                    slot[0] = Some(r);
+                    true
+                }
+                Err(_) => {
+                    part.copy_from_slice(&snapshot);
+                    false
+                }
+            }
+        })
+    };
+    record_degraded(failed.len());
+    for &ci in &failed {
+        let (lo, hi) = ranges[ci];
+        let part = &mut out[lo * stride..hi * stride];
+        degraded_rerun(kernel, lo, hi, || results[ci] = Some(body(ci, part)));
+    }
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every chunk ran"))
+        .collect();
+    (results, failed)
+}
+
 /// Parallel `y <- alpha*x + y`.
 pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S], threads: usize) {
     assert_eq!(x.len(), y.len());
@@ -225,23 +269,11 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S], threads: usize) {
     let ranges = chunk_ranges(y.len(), threads);
     record_dispatch(&ranges);
     let _sp = trace::span("par.axpy", y.len() as u64);
-    let failed = {
-        let out = ChunkedMut::new(y);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.axpy.chunk", (hi - lo) as u64);
-            // SAFETY: chunk ranges are disjoint and each index runs once.
-            let head = unsafe { out.slice(lo, hi) };
-            isolated(head, |out| kernels::axpy(alpha, &x[lo..hi], out))
-        })
-    };
-    record_degraded(failed.len());
-    for ci in failed {
+    run_chunks("axpy", &ranges, y, 1, &|ci, out| {
         let (lo, hi) = ranges[ci];
-        degraded_rerun("axpy", lo, hi, || {
-            kernels::axpy(alpha, &x[lo..hi], &mut y[lo..hi])
-        });
-    }
+        let _t = trace::span("par.axpy.chunk", (hi - lo) as u64);
+        kernels::axpy(alpha, &x[lo..hi], out)
+    });
 }
 
 /// Parallel dot product (per-chunk partials, then a serial reduce in chunk
@@ -254,56 +286,16 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
     let ranges = chunk_ranges(x.len(), threads);
     record_dispatch(&ranges);
     let _sp = trace::span("par.dot", x.len() as u64);
-    let mut partials = vec![S::s_zero(); ranges.len()];
-    let failed = {
-        let slots = ChunkedMut::new(&mut partials);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.dot.chunk", (hi - lo) as u64);
-            match catch_unwind(AssertUnwindSafe(|| kernels::dot(&x[lo..hi], &y[lo..hi]))) {
-                Ok(v) => {
-                    // SAFETY: slot ci is written only by the single
-                    // executor of chunk ci.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = v;
-                    true
-                }
-                Err(_) => false,
-            }
-        })
-    };
-    record_degraded(failed.len());
-    let mut acc = S::s_zero();
-    for (ci, &(lo, hi)) in ranges.iter().enumerate() {
-        let term = if failed.binary_search(&ci).is_ok() {
-            let mut out = S::s_zero();
-            degraded_rerun("dot", lo, hi, || out = kernels::dot(&x[lo..hi], &y[lo..hi]));
-            out
-        } else {
-            partials[ci]
-        };
-        acc = acc.s_add(term);
-    }
-    acc
+    let (partials, _) = run_chunks("dot", &ranges, &mut [(); 0], 0, &|ci, _| {
+        let (lo, hi) = ranges[ci];
+        let _t = trace::span("par.dot.chunk", (hi - lo) as u64);
+        kernels::dot(&x[lo..hi], &y[lo..hi])
+    });
+    partials.into_iter().fold(S::s_zero(), S::s_add)
 }
 
-/// GEMV row block `lo..hi` into `head` (shared by workers and the serial
-/// degrade path). `beta == 0` overwrites without reading `head`, exactly
-/// like the serial kernel, so the parallel path stays bitwise identical.
-fn gemv_rows<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, head: &mut [S], lo: usize) {
-    if beta.s_is_zero() {
-        for (r, yi) in (lo..).zip(head.iter_mut()) {
-            *yi = alpha.s_mul(kernels::dot(a.row(r), x));
-        }
-    } else {
-        for (r, yi) in (lo..).zip(head.iter_mut()) {
-            let acc = kernels::dot(a.row(r), x);
-            *yi = beta.s_mul(*yi).s_add(alpha.s_mul(acc));
-        }
-    }
-}
-
-/// Parallel GEMV: rows are divided among threads.
+/// Parallel GEMV: rows are divided among threads; each chunk runs the
+/// serial kernel's dispatched row-range body.
 pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], threads: usize) {
     assert_eq!(
         a.cols,
@@ -327,62 +319,15 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
     let ranges = chunk_ranges(a.rows, threads);
     record_dispatch(&ranges);
     let _sp = trace::span("par.gemv", a.rows as u64);
-    let failed = {
-        let out = ChunkedMut::new(y);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.gemv.chunk", (hi - lo) as u64);
-            // SAFETY: chunk ranges are disjoint and each index runs once.
-            let head = unsafe { out.slice(lo, hi) };
-            isolated(head, |out| gemv_rows(alpha, a, x, beta, out, lo))
-        })
-    };
-    record_degraded(failed.len());
-    for ci in failed {
+    run_chunks("gemv", &ranges, y, 1, &|ci, out| {
         let (lo, hi) = ranges[ci];
-        degraded_rerun("gemv", lo, hi, || {
-            gemv_rows(alpha, a, x, beta, &mut y[lo..hi], lo)
-        });
-    }
+        let _t = trace::span("par.gemv.chunk", (hi - lo) as u64);
+        kernels::gemv_rows(alpha, a, x, beta, out, lo)
+    });
 }
 
-/// GEMM output row block `lo..hi` into `head` (shared by workers and the
-/// serial degrade path).
-fn gemm_rows<S: Scalar>(
-    alpha: S,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    beta: S,
-    head: &mut [S],
-    lo: usize,
-    hi: usize,
-) {
-    let n = b.cols;
-    let kdim = a.cols;
-    // Same per-call beta == 0 overwrite as the serial kernel (bitwise
-    // identical parallel path, no NaN propagation from garbage C).
-    if beta.s_is_zero() {
-        for v in head.iter_mut() {
-            *v = S::s_zero();
-        }
-    } else {
-        for v in head.iter_mut() {
-            *v = beta.s_mul(*v);
-        }
-    }
-    for (bi, i) in (lo..hi).enumerate() {
-        for k in 0..kdim {
-            let aik = alpha.s_mul(a.at(i, k));
-            let brow = &b.data[k * n..(k + 1) * n];
-            let crow = &mut head[bi * n..(bi + 1) * n];
-            for j in 0..n {
-                crow[j] = crow[j].s_mul_acc(aik, brow[j]);
-            }
-        }
-    }
-}
-
-/// Parallel GEMM: output row blocks are divided among threads.
+/// Parallel GEMM: output row blocks are divided among threads; each chunk
+/// runs the serial kernel's dispatched row-range body.
 pub fn gemm<S: Scalar>(
     alpha: S,
     a: &Matrix<S>,
@@ -412,28 +357,14 @@ pub fn gemm<S: Scalar>(
     if threads <= 1 {
         return kernels::gemm(alpha, a, b, beta, c);
     }
-    let n = b.cols;
     let ranges = chunk_ranges(a.rows, threads);
     record_dispatch(&ranges);
     let _sp = trace::span("par.gemm", a.rows as u64);
-    let failed = {
-        let out = ChunkedMut::new(&mut c.data);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.gemm.chunk", (hi - lo) as u64);
-            // SAFETY: row ranges are disjoint, so the element ranges
-            // lo*n..hi*n are too; each index runs once.
-            let head = unsafe { out.slice(lo * n, hi * n) };
-            isolated(head, |out| gemm_rows(alpha, a, b, beta, out, lo, hi))
-        })
-    };
-    record_degraded(failed.len());
-    for ci in failed {
+    run_chunks("gemm", &ranges, &mut c.data, b.cols, &|ci, out| {
         let (lo, hi) = ranges[ci];
-        degraded_rerun("gemm", lo, hi, || {
-            gemm_rows(alpha, a, b, beta, &mut c.data[lo * n..hi * n], lo, hi)
-        });
-    }
+        let _t = trace::span("par.gemm.chunk", (hi - lo) as u64);
+        kernels::gemm_rows(alpha, a, b, beta, out, lo, hi)
+    });
 }
 
 #[cfg(test)]
@@ -442,7 +373,7 @@ mod tests {
     use mf_core::F64x2;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
     #[test]
     fn parallel_matches_serial() {
@@ -839,17 +770,69 @@ mod tests {
         assert_eq!(chunk_begins, 4, "expected one chunk span per chunk");
     }
 
+    /// Runner, in-place mode: a chunk that writes part of its slice and
+    /// then panics is restored from its snapshot and rerun serially, so
+    /// every element is transformed exactly once; results come back in
+    /// chunk order with the degraded chunk reported.
     #[test]
-    fn isolated_restores_partial_writes() {
-        let mut out = [1.0f64, 2.0, 3.0];
-        let ok = isolated(&mut out, |o| {
-            o[0] = 99.0;
-            panic!("boom");
+    fn runner_in_place_restores_and_reruns_failed_chunk() {
+        let ranges = chunk_ranges(12, 3);
+        let mut out: Vec<f64> = (0..24).map(|i| i as f64).collect();
+        let lit = AtomicBool::new(true);
+        let (res, failed) = run_chunks("probe", &ranges, &mut out, 2, &|ci, part| {
+            assert_eq!(part.len(), 2 * (ranges[ci].1 - ranges[ci].0));
+            for (i, v) in part.iter_mut().enumerate() {
+                *v = 2.0 * *v + 1.0;
+                if ci == 1 && i == 3 && lit.swap(false, Ordering::SeqCst) {
+                    panic!("transient fault");
+                }
+            }
+            ci * 10
         });
-        assert!(!ok);
-        assert_eq!(out, [1.0, 2.0, 3.0], "partial write must be rolled back");
-        let ok = isolated(&mut out, |o| o[1] = 42.0);
-        assert!(ok);
-        assert_eq!(out, [1.0, 42.0, 3.0]);
+        assert_eq!(res, vec![0, 10, 20]);
+        assert_eq!(failed, vec![1]);
+        let want: Vec<f64> = (0..24).map(|i| 2.0 * i as f64 + 1.0).collect();
+        assert_eq!(
+            out, want,
+            "partial writes must be rolled back before the rerun"
+        );
+    }
+
+    /// Runner, reduce mode: no output slice, per-chunk results in chunk
+    /// order, the panicking chunk recomputed serially.
+    #[test]
+    fn runner_reduce_mode_recomputes_failed_chunk() {
+        let ranges = chunk_ranges(10, 4);
+        let lit = AtomicBool::new(true);
+        let (res, failed) = run_chunks("probe", &ranges, &mut [(); 0], 0, &|ci, part| {
+            assert!(part.is_empty());
+            if ci == 2 && lit.swap(false, Ordering::SeqCst) {
+                panic!("transient fault");
+            }
+            let (lo, hi) = ranges[ci];
+            (lo..hi).sum::<usize>()
+        });
+        let want: Vec<usize> = ranges.iter().map(|&(lo, hi)| (lo..hi).sum()).collect();
+        assert_eq!(res, want);
+        assert_eq!(failed, vec![2]);
+    }
+
+    /// Runner: a panic that survives the serial retry propagates with the
+    /// kernel name, the chunk range and the original payload.
+    #[test]
+    fn runner_persistent_panic_names_kernel_and_range() {
+        let ranges = chunk_ranges(9, 3);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            run_chunks("probe", &ranges, &mut [0.0f64; 9], 1, &|ci, _| {
+                if ci == 1 {
+                    panic!("deterministic fault");
+                }
+            })
+        }))
+        .unwrap_err();
+        let msg = describe_panic(err.as_ref());
+        assert!(msg.contains("mf-blas probe"), "got: {msg}");
+        assert!(msg.contains("chunk 3..6"), "got: {msg}");
+        assert!(msg.contains("deterministic fault"), "got: {msg}");
     }
 }

@@ -14,13 +14,16 @@
 //!
 //! **Bitwise-identity contract.** Every hot operation the networks use
 //! (add, sub, mul, div, fma, sqrt, abs, neg) is IEEE-754 correctly rounded
-//! in every realization, and the kernels here keep the exact lane
-//! structure of `lanes::dot_lockstep_l::<f64, N, 8>` (fixed 8-lane chunks,
-//! ceil-half tree reduction, scalar tail for reductions). Each lane
-//! therefore computes the same bits whichever realization runs — the
-//! forced-ISA CI matrix and the `"blas-simd"` conformance class assert
-//! this. Cold predicates (`min`/`max`, `is_*`, `exponent`) are scalar
-//! per-lane loops mirroring `Lanes` semantics exactly, because e.g.
+//! in every realization, and every realization runs the *same* lock-step
+//! bodies, [`crate::lanes::lockstep_dot`] and
+//! [`crate::lanes::lockstep_axpy`] — this module only instantiates them
+//! (`lanes::dot_lockstep_l::<f64, N, 8>` is their portable instantiation).
+//! The lane structure (fixed 8-lane chunks, ceil-half tree reduction,
+//! scalar tail for reductions) is therefore identical, and each lane
+//! computes the same bits whichever realization runs — the forced-ISA CI
+//! matrix and the `"blas-simd"` conformance class assert this. Cold
+//! predicates (`min`/`max`, `is_*`, `exponent`) are scalar per-lane loops
+//! mirroring `Lanes` semantics exactly, because e.g.
 //! `_mm256_max_pd` has different NaN behaviour than `f64::max` and the
 //! predicates feed `debug_assert!`s that must agree across realizations.
 //!
@@ -35,16 +38,16 @@
 //!    on wide-vector frames; it stays an explicit opt-in (DESIGN.md).
 //!
 //! `MF_SIMD=scalar` also disables the AVX2+FMA `#[target_feature]` frames
-//! in `kernels.rs`/`soa.rs`/`tile.rs`/`adaptive.rs` (via
+//! that every other kernel enters through [`fma_frame!`] (via
 //! [`fma_frame_allowed`]), so one env var pins *every* layer to portable
 //! codegen — that is what makes the forced-ISA CI matrix a like-for-like
 //! bit comparison.
 
-use crate::lanes::Lanes;
+use crate::lanes::{lockstep_axpy, lockstep_dot, Lanes, VLane};
 use core::any::TypeId;
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
-use mf_core::{addition, multiplication, FloatBase, MultiFloat};
+use mf_core::{FloatBase, MultiFloat};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Lane width of every realization: one AVX-512 register, two AVX2
@@ -200,75 +203,67 @@ pub fn force(isa: Isa) {
     ACTIVE.store(isa.to_u8(), Ordering::Relaxed);
 }
 
-/// Whether the AVX2+FMA `#[target_feature]` frames in `kernels.rs`,
-/// `soa.rs`, `tile.rs` and `adaptive.rs` may be entered. True exactly when
-/// the active realization is an x86 vector ISA — so those frames' feature
-/// requirements were detected — and false under `MF_SIMD=scalar`, pinning
-/// every dispatch layer to portable codegen at once.
+/// Whether the AVX2+FMA `#[target_feature]` frames of [`fma_frame!`] may
+/// be entered. True exactly when the active realization is an x86 vector
+/// ISA — so those frames' feature requirements were detected — and false
+/// under `MF_SIMD=scalar`, pinning every dispatch layer to portable
+/// codegen at once.
 #[inline]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-gated
 pub(crate) fn fma_frame_allowed() -> bool {
     matches!(active(), Isa::Avx2 | Isa::Avx512)
 }
 
+/// Define a kernel as an `#[inline(always)]` body `$body` plus a
+/// runtime-dispatching wrapper `$name`. On x86-64, when
+/// [`fma_frame_allowed`], the wrapper runs the body inside an AVX2+FMA
+/// `#[target_feature]` frame, so the EFT `mul_add`s lower to `vfmadd`
+/// instead of soft-float libm calls; otherwise it runs the portable build
+/// of the same body. Both lowerings are correctly rounded, so the two
+/// paths are bit-identical, and the check is one cached atomic load per
+/// call. Generic parameters go in brackets:
+/// `fn name / body [S: Scalar] (args) -> Ret { ... }`.
+macro_rules! fma_frame {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident / $body:ident [$($gen:tt)*]
+     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $code:block) => {
+        #[inline(always)]
+        fn $body<$($gen)*>($($arg: $ty),*) $(-> $ret)? $code
+
+        $(#[$doc])*
+        $vis fn $name<$($gen)*>($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if $crate::simd::fma_frame_allowed() {
+                /// # Safety
+                ///
+                /// Caller must ensure the `avx2` and `fma` CPU features
+                /// are present.
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn frame<$($gen)*>($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                // SAFETY: `fma_frame_allowed` returns true only for ISA
+                // selections whose avx2+fma features were runtime-detected.
+                return unsafe { frame($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+pub(crate) use fma_frame;
+
 // ---------------------------------------------------------------------------
-// The vector-lane trait and its realizations
+// The vector-lane realizations
 // ---------------------------------------------------------------------------
-
-/// An 8-lane `f64` vector usable as the base type of the generic FPAN
-/// networks. Storage is always a plain `[f64; 8]` — the intrinsic
-/// realizations load registers on entry to each op and store on exit;
-/// inside a `#[target_feature]` frame LLVM's mem2reg keeps the values in
-/// registers across the whole network body.
-pub(crate) trait VLane: FloatBase {
-    fn from_array(a: [f64; LANES]) -> Self;
-    fn to_array(self) -> [f64; LANES];
-}
-
-/// Full-width load: `s.len() >= LANES`.
-#[inline(always)]
-fn vload<V: VLane>(s: &[f64]) -> V {
-    let mut a = [0.0f64; LANES];
-    a.copy_from_slice(&s[..LANES]);
-    V::from_array(a)
-}
-
-/// Masked load for tails: fills the first `s.len()` (`<= LANES`) lanes,
-/// zero-fills the rest.
-#[inline(always)]
-fn vload_partial<V: VLane>(s: &[f64]) -> V {
-    let mut a = [0.0f64; LANES];
-    let take = s.len().min(LANES);
-    a[..take].copy_from_slice(&s[..take]);
-    V::from_array(a)
-}
-
-/// Masked store for tails: writes the first `out.len()` (`<= LANES`)
-/// lanes; padding lanes are discarded.
-#[inline(always)]
-fn vstore_partial<V: VLane>(v: V, out: &mut [f64]) {
-    let a = v.to_array();
-    let take = out.len().min(LANES);
-    out[..take].copy_from_slice(&a[..take]);
-}
-
-impl VLane for Lanes<f64, LANES> {
-    #[inline(always)]
-    fn from_array(a: [f64; LANES]) -> Self {
-        Lanes(a)
-    }
-    #[inline(always)]
-    fn to_array(self) -> [f64; LANES] {
-        self.0
-    }
-}
 
 /// Implement everything *except* the hot arithmetic for an `[f64; 8]`
 /// vector newtype: operator traits forwarding to the type's `v_*` inherent
-/// methods, plus the cold [`FloatBase`] surface as scalar per-lane loops
-/// with exactly [`Lanes`]' reduction semantics (any-NaN, all-zero,
-/// max-exponent, lane-0 sign/ordering). The hot `v_*` methods are supplied
-/// per ISA with intrinsics.
+/// methods, the cold [`FloatBase`] surface as scalar per-lane loops with
+/// exactly [`Lanes`]' reduction semantics (any-NaN, all-zero, max-exponent,
+/// lane-0 sign/ordering), and [`VLane`]. The hot `v_*` methods are
+/// supplied per ISA with intrinsics. Storage is always a plain `[f64; 8]`
+/// — the intrinsics load registers on entry to each op and store on exit;
+/// inside a `#[target_feature]` frame LLVM's mem2reg keeps the values in
+/// registers across the whole network body.
 macro_rules! v8_realization {
     ($T:ident) => {
         impl Default for $T {
@@ -482,13 +477,17 @@ macro_rules! v8_realization {
         }
 
         impl VLane for $T {
+            type Elem = f64;
+            const WIDTH: usize = LANES;
+
             #[inline(always)]
-            fn from_array(a: [f64; LANES]) -> Self {
-                $T(a)
+            fn lanes(&self) -> &[f64] {
+                &self.0
             }
+
             #[inline(always)]
-            fn to_array(self) -> [f64; LANES] {
-                self.0
+            fn lanes_mut(&mut self) -> &mut [f64] {
+                &mut self.0
             }
         }
     };
@@ -841,178 +840,57 @@ mod neon {
 pub(crate) use neon::V8Neon;
 
 // ---------------------------------------------------------------------------
-// Generic kernel bodies (one source, instantiated per realization)
+// Per-ISA instantiations of the lock-step bodies
 // ---------------------------------------------------------------------------
 
-/// Lock-step DOT body: mirrors `lanes::dot_lockstep_l::<f64, N, 8>`
-/// *exactly* — 8-lane chunks through the generic mul/add FPANs, ceil-half
-/// tree reduction over extracted scalar expansions, scalar tail. The
-/// reduction structure is what fixes the bits; only the realization of the
-/// lane arithmetic varies.
-#[inline(always)]
-fn dot_v8_body<V: VLane, const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    let xs: [&[f64]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
-    let ys: [&[f64]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
-    let mut acc: [V; N] = [V::ZERO; N];
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        let xi: [V; N] = core::array::from_fn(|k| vload(&xs[k][base..]));
-        let yi: [V; N] = core::array::from_fn(|k| vload(&ys[k][base..]));
-        let p = multiplication::mul(&xi, &yi);
-        acc = addition::add(&acc, &p);
-    }
-    // Extract the lanes and tree-reduce with the scalar FPANs (same
-    // ceil-half pairing as `lanes::dot_lockstep_l`).
-    let mut lanes_out: [[f64; N]; LANES] = [[0.0; N]; LANES];
-    for (k, a) in acc.iter().enumerate() {
-        let arr = a.to_array();
-        for l in 0..LANES {
-            lanes_out[l][k] = arr[l];
-        }
-    }
-    let mut width = LANES;
-    while width > 1 {
-        let half = width.div_ceil(2);
-        for l in 0..width / 2 {
-            lanes_out[l] = addition::add(&lanes_out[l], &lanes_out[l + half]);
-        }
-        width = half;
-    }
-    // Scalar tail: reductions are association-order sensitive, so the tail
-    // must stay serial to keep the bits of the 8-lane structure.
-    let mut total = lanes_out[0];
-    for i in chunks * LANES..n {
-        let xi: [f64; N] = core::array::from_fn(|k| xs[k][i]);
-        let yi: [f64; N] = core::array::from_fn(|k| ys[k][i]);
-        let p = multiplication::mul(&xi, &yi);
-        total = addition::add(&total, &p);
-    }
-    MultiFloat::from_components(total)
-}
+/// Instantiate [`lockstep_dot`] and [`lockstep_axpy`] at one realization,
+/// inside the `#[target_feature]` frame that turns its `v_*` intrinsic
+/// calls into bare instructions (and lets LLVM keep the plain-array
+/// storage in registers across the inlined network bodies).
+macro_rules! realization_frames {
+    ($m:ident, $V:ty $(, $feat:literal)?) => {
+        mod $m {
+            use super::*;
 
-/// Lock-step AXPY body: element-wise, so *every* element (tail included)
-/// can ride the vector lanes — the tail uses masked partial load/store
-/// with zero padding, and since the FPAN ops are lane-independent each
-/// real lane's bits match the scalar loop exactly. Zero-padded lanes can
-/// only weaken the `FastTwoSum` debug preconditions (both sides' max
-/// exponents move toward `exponent(0)` monotonically), never trip them.
-#[inline(always)]
-fn axpy_v8_body<V: VLane, const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    let a = alpha.components();
-    let av: [V; N] = core::array::from_fn(|k| V::from_array([a[k]; LANES]));
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        let xi: [V; N] = core::array::from_fn(|k| vload(&xc[k][xoff + base..]));
-        let yi: [V; N] = core::array::from_fn(|k| vload(&yc[k][yoff + base..]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            yc[k][yoff + base..yoff + base + LANES].copy_from_slice(&s[k].to_array());
-        }
-    }
-    let done = chunks * LANES;
-    if done < n {
-        let xi: [V; N] = core::array::from_fn(|k| vload_partial(&xc[k][xoff + done..xoff + n]));
-        let yi: [V; N] = core::array::from_fn(|k| vload_partial(&yc[k][yoff + done..yoff + n]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            vstore_partial(s[k], &mut yc[k][yoff + done..yoff + n]);
-        }
-    }
-}
+            /// # Safety
+            ///
+            /// Caller must ensure the frame's CPU features are present
+            /// (NEON needs none: it is aarch64 baseline).
+            $(#[target_feature(enable = $feat)])?
+            pub(super) unsafe fn dot<const N: usize>(
+                xc: &[Vec<f64>],
+                xoff: usize,
+                yc: &[Vec<f64>],
+                yoff: usize,
+                n: usize,
+            ) -> MultiFloat<f64, N> {
+                lockstep_dot::<$V, N>(xc, xoff, yc, yoff, n)
+            }
 
-// Per-ISA instantiations. The `#[target_feature]` frame is what turns the
-// `v_*` intrinsic calls into bare instructions (and lets LLVM keep the
-// plain-array storage in registers across the inlined network bodies).
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_v8_avx2<const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    dot_v8_body::<V8Avx2, N>(xc, xoff, yc, yoff, n)
+            /// # Safety
+            ///
+            /// As for `dot`.
+            $(#[target_feature(enable = $feat)])?
+            pub(super) unsafe fn axpy<const N: usize>(
+                alpha: MultiFloat<f64, N>,
+                xc: &[Vec<f64>],
+                xoff: usize,
+                yc: &mut [Vec<f64>],
+                yoff: usize,
+                n: usize,
+            ) {
+                lockstep_axpy::<$V, N>(alpha, xc, xoff, yc, yoff, n)
+            }
+        }
+    };
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_v8_avx2<const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    axpy_v8_body::<V8Avx2, N>(alpha, xc, xoff, yc, yoff, n)
-}
-
+realization_frames!(avx2_frames, V8Avx2, "avx2,fma");
 #[cfg(all(target_arch = "x86_64", mf_avx512))]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn dot_v8_avx512<const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    dot_v8_body::<V8Avx512, N>(xc, xoff, yc, yoff, n)
-}
-
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn axpy_v8_avx512<const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    axpy_v8_body::<V8Avx512, N>(alpha, xc, xoff, yc, yoff, n)
-}
-
+realization_frames!(avx512_frames, V8Avx512, "avx512f,fma");
 #[cfg(target_arch = "aarch64")]
-fn dot_v8_neon<const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    dot_v8_body::<V8Neon, N>(xc, xoff, yc, yoff, n)
-}
-
-#[cfg(target_arch = "aarch64")]
-fn axpy_v8_neon<const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    axpy_v8_body::<V8Neon, N>(alpha, xc, xoff, yc, yoff, n)
-}
+realization_frames!(neon_frames, V8Neon);
 
 // ---------------------------------------------------------------------------
 // Dispatch: f64 specialization of the generic lock-step entry points
@@ -1068,16 +946,17 @@ pub(crate) fn dot_f64_at<const N: usize>(
 ) -> MultiFloat<f64, N> {
     debug_assert!(isa.supported());
     match isa {
-        Isa::Scalar => dot_v8_body::<Lanes<f64, LANES>, N>(xc, xoff, yc, yoff, n),
+        Isa::Scalar => lockstep_dot::<Lanes<f64, LANES>, N>(xc, xoff, yc, yoff, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa.supported()` (checked by `active()`/`force()`/the
         // caller) established avx2+fma via runtime detection.
-        Isa::Avx2 => unsafe { dot_v8_avx2::<N>(xc, xoff, yc, yoff, n) },
+        Isa::Avx2 => unsafe { avx2_frames::dot::<N>(xc, xoff, yc, yoff, n) },
         #[cfg(all(target_arch = "x86_64", mf_avx512))]
         // SAFETY: as above, with avx512f+fma.
-        Isa::Avx512 => unsafe { dot_v8_avx512::<N>(xc, xoff, yc, yoff, n) },
+        Isa::Avx512 => unsafe { avx512_frames::dot::<N>(xc, xoff, yc, yoff, n) },
         #[cfg(target_arch = "aarch64")]
-        Isa::Neon => dot_v8_neon::<N>(xc, xoff, yc, yoff, n),
+        // SAFETY: NEON is aarch64 baseline.
+        Isa::Neon => unsafe { neon_frames::dot::<N>(xc, xoff, yc, yoff, n) },
         #[allow(unreachable_patterns)]
         other => unreachable!("dot_f64_at: {other} not compiled into this build"),
     }
@@ -1095,15 +974,16 @@ pub(crate) fn axpy_f64_at<const N: usize>(
 ) {
     debug_assert!(isa.supported());
     match isa {
-        Isa::Scalar => axpy_v8_body::<Lanes<f64, LANES>, N>(alpha, xc, xoff, yc, yoff, n),
+        Isa::Scalar => lockstep_axpy::<Lanes<f64, LANES>, N>(alpha, xc, xoff, yc, yoff, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `dot_f64_at`.
-        Isa::Avx2 => unsafe { axpy_v8_avx2::<N>(alpha, xc, xoff, yc, yoff, n) },
+        Isa::Avx2 => unsafe { avx2_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
         #[cfg(all(target_arch = "x86_64", mf_avx512))]
         // SAFETY: as in `dot_f64_at`.
-        Isa::Avx512 => unsafe { axpy_v8_avx512::<N>(alpha, xc, xoff, yc, yoff, n) },
+        Isa::Avx512 => unsafe { avx512_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
         #[cfg(target_arch = "aarch64")]
-        Isa::Neon => axpy_v8_neon::<N>(alpha, xc, xoff, yc, yoff, n),
+        // SAFETY: as in `dot_f64_at`.
+        Isa::Neon => unsafe { neon_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
         #[allow(unreachable_patterns)]
         other => unreachable!("axpy_f64_at: {other} not compiled into this build"),
     }
@@ -1114,7 +994,7 @@ pub(crate) fn axpy_f64_at<const N: usize>(
 /// falls back to the generic portable path). Under `Isa::Scalar` this
 /// still goes through the cast layer and the portable body — identical
 /// bits to the fallback, but it keeps the whole dispatch surface (TypeId
-/// check, slice reinterpretation, partial loads) exercised under Miri.
+/// check, slice reinterpretation) exercised under Miri.
 #[inline]
 pub(crate) fn try_dot_f64<T: FloatBase, const N: usize>(
     xc: &[Vec<T>],
@@ -1200,19 +1080,6 @@ mod tests {
             "auto resolves in active(), not parse()"
         );
         assert!(Isa::Scalar.supported(), "scalar runs everywhere");
-    }
-
-    /// The portable body must be bit-identical to the pre-existing
-    /// `lanes::dot_lockstep_l` it mirrors — that function is the
-    /// conformance reference for the `"blas-simd"` divergence kind.
-    #[test]
-    fn portable_body_matches_lanes_lockstep_bitwise() {
-        for n in [0usize, 1, 7, 8, 9, 17, 64, 203] {
-            let (sx, sy) = soa_pair(0x51D0 + n as u64, n);
-            let got = dot_v8_body::<Lanes<f64, LANES>, 3>(&sx.comps, 0, &sy.comps, 0, n);
-            let want = crate::lanes::dot_lockstep_l::<f64, 3, LANES>(&sx.comps, 0, &sy.comps, 0, n);
-            assert_eq!(got.components(), want.components(), "n={n}");
-        }
     }
 
     /// Every runnable realization must produce the same bits as the
@@ -1303,38 +1170,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// Masked tail helpers: short loads zero-fill, short stores leave the
-    /// untouched region intact.
-    #[test]
-    fn partial_load_store_edges() {
-        for len in 0..=LANES {
-            let src: Vec<f64> = (0..len).map(|i| (i + 1) as f64).collect();
-            let v: Lanes<f64, LANES> = vload_partial(&src);
-            for l in 0..LANES {
-                let want = if l < len { (l + 1) as f64 } else { 0.0 };
-                assert_eq!(v.0[l], want, "len={len} lane {l}");
-            }
-            let mut out = [-1.0f64; LANES + 2];
-            vstore_partial(v, &mut out[..len]);
-            for (i, &o) in out.iter().enumerate() {
-                let want = if i < len { (i + 1) as f64 } else { -1.0 };
-                assert_eq!(o, want, "len={len} out[{i}]");
-            }
-        }
-        // NaN / inf / subnormal values survive the masked round-trip bitwise.
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE / 2.0,
-            -0.0,
-        ];
-        let v: Lanes<f64, LANES> = vload_partial(&specials);
-        for (i, s) in specials.iter().enumerate() {
-            assert_eq!(v.0[i].to_bits(), s.to_bits(), "special {i}");
         }
     }
 

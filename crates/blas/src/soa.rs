@@ -11,26 +11,15 @@
 //! CAMPARY's zero-tests and magnitude merges create lane-divergent control
 //! flow, which is why their 3/4-term columns collapse in Figure 9.
 //!
-//! Each entry point dispatches between two realizations (measured in the
-//! ablation benches): explicit lock-step execution via
-//! [`crate::lanes::Lanes`] (always best for reductions; best for streaming
-//! kernels at N <= 2) and an autovectorized scalar loop (best for
-//! streaming kernels at N >= 3, where the lock-step live state spills the
-//! register file).
+//! Reductions (DOT, GEMV rows) run the lock-step lane body
+//! ([`crate::lanes::dot_lockstep`]: at `T = f64` the explicit-intrinsic
+//! realization that `MF_SIMD` selects, see [`crate::simd`]). The streaming
+//! AXPY (and the GEMM inner loop built on it) runs lock-step at `N <= 2`
+//! and element-wise at `N >= 3`, where the lock-step live state spills the
+//! register file (measured; see EXPERIMENTS.md ablations). Every entry
+//! point is dispatched through [`crate::simd::fma_frame!`].
 
 use mf_core::{addition, multiplication, FloatBase, MultiFloat};
-
-/// Accumulator lanes for reductions at expansion width `N`. More lanes
-/// break the add-chain dependency further, but each lane keeps `N` partial
-/// sums live; past ~16 live doubles the register file spills and the win
-/// inverts (measured on AVX-512: N=2 wants 8 lanes, N=4 wants 4).
-pub const fn lanes_for(n: usize) -> usize {
-    match n {
-        1 | 2 => 8,
-        3 => 4,
-        _ => 4,
-    }
-}
 
 /// A vector of `MultiFloat<T, N>` in structure-of-arrays layout.
 #[derive(Debug, Clone)]
@@ -152,175 +141,62 @@ fn slices_mut<T: FloatBase, const N: usize>(
     core::array::from_fn(|_| &mut it.next().unwrap()[lo..hi])
 }
 
-/// Expand one SoA entry point into the portable `*_body`, the AVX2+FMA
-/// `#[target_feature]` instantiation, and the dispatching public wrapper —
-/// the same pattern as the tiled GEMM path and the flat AoS kernels (see
-/// `kernels::fma_dispatched`). The lock-step lane primitives and `dot_raw`
-/// are all `#[inline(always)]`, so the whole hot loop lands inside the
-/// feature-enabled frame and the EFT `mul_add`s lower to `vfmadd`; both
-/// lowerings are correctly rounded, so results stay bit-identical.
-macro_rules! fma_dispatched_soa {
-    ($(#[$doc:meta])* pub fn $name:ident / $body:ident / $fma:ident
-     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $code:block) => {
-        #[inline(always)]
-        fn $body<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? $code
-
-        /// AVX2+FMA instantiation of the kernel body.
-        ///
-        /// # Safety
-        ///
-        /// Caller must ensure the `avx2` and `fma` CPU features are present.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn $fma<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? {
-            $body::<T, N>($($arg),*)
-        }
-
-        $(#[$doc])*
-        pub fn $name<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            if crate::simd::fma_frame_allowed() {
-                // SAFETY: `fma_frame_allowed` returns true only for ISA
-                // selections whose avx2+fma features were runtime-detected.
-                return unsafe { $fma::<T, N>($($arg),*) };
-            }
-            $body::<T, N>($($arg),*)
-        }
-    };
-}
-
-fma_dispatched_soa! {
-    /// `y <- alpha*x + y` over SoA vectors. The loop body is branch-free
-    /// straight-line FPAN code; with unit-stride loads LLVM vectorizes it
-    /// across `i`.
-    pub fn axpy / axpy_body / axpy_fma(
-        alpha: MultiFloat<T, N>,
-        x: &SoaVec<T, N>,
-        y: &mut SoaVec<T, N>,
-    ) {
-        assert_eq!(x.len(), y.len());
-        let n = x.len();
-        // Streaming kernels: lock-step wins at N <= 2; at N >= 3 the lane
-        // state spills registers and the autovectorized form is faster
-        // (measured; see EXPERIMENTS.md ablations).
-        if N <= 2 {
-            crate::lanes::axpy_lockstep::<T, N>(alpha, &x.comps, &mut y.comps, n);
-        } else {
-            axpy_autovec_body(alpha, x, y);
-        }
-    }
-}
-
-fma_dispatched_soa! {
-    /// Autovectorized AXPY variant, kept for the ablation benchmark.
-    pub fn axpy_autovec / axpy_autovec_body / axpy_autovec_fma(
-        alpha: MultiFloat<T, N>,
-        x: &SoaVec<T, N>,
-        y: &mut SoaVec<T, N>,
-    ) {
-        assert_eq!(x.len(), y.len());
-        let a = alpha.components();
-        let n = x.len();
-        let xs: [&[T]; N] = slices(&x.comps, 0, n);
-        let ys: [&mut [T]; N] = slices_mut(&mut y.comps, 0, n);
-        for i in 0..n {
-            let xi: [T; N] = core::array::from_fn(|k| xs[k][i]);
-            let yi: [T; N] = core::array::from_fn(|k| ys[k][i]);
-            let p = multiplication::mul(&a, &xi);
-            let s = addition::add(&p, &yi);
-            for k in 0..N {
-                ys[k][i] = s[k];
-            }
-        }
-    }
-}
-
-fma_dispatched_soa! {
-    /// Dot product with [`lanes_for`]`(N)` independent accumulators (SIMD reduction).
-    pub fn dot / dot_body / dot_fma(
-        x: &SoaVec<T, N>,
-        y: &SoaVec<T, N>,
-    ) -> MultiFloat<T, N> {
-        assert_eq!(x.len(), y.len());
-        dot_raw::<T, N>(&x.comps, 0, &y.comps, 0, x.len())
-    }
-}
-
-/// Reduction core shared by `dot` and `gemv`, operating on component
-/// slices beginning at the given offsets.
+/// Streaming AXPY core shared by [`axpy`] and [`gemm`] over component
+/// slices at the given offsets: lock-step at `N <= 2`; at `N >= 3` the lane
+/// state spills registers and the element-wise loop is faster (measured;
+/// see EXPERIMENTS.md ablations). Both are element-wise, so both compute
+/// the bits of the scalar AoS kernel.
 #[inline(always)]
-fn dot_raw<T: FloatBase, const N: usize>(
+fn axpy_at<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
     xc: &[Vec<T>],
     xoff: usize,
-    yc: &[Vec<T>],
+    yc: &mut [Vec<T>],
     yoff: usize,
     n: usize,
-) -> MultiFloat<T, N> {
-    // Lock-step lane execution beats the autovectorized form at every
-    // width on AVX-512 (see EXPERIMENTS.md ablations).
-    crate::lanes::dot_lockstep::<T, N>(xc, xoff, yc, yoff, n)
-}
-
-fma_dispatched_soa! {
-    /// Autovectorized reduction variant, kept for the SoA-vs-lockstep ablation
-    /// benchmark.
-    pub fn dot_autovec / dot_autovec_body / dot_autovec_fma(
-        x: &SoaVec<T, N>,
-        y: &SoaVec<T, N>,
-    ) -> MultiFloat<T, N> {
-        assert_eq!(x.len(), y.len());
-        let n = x.len();
-        match lanes_for(N) {
-            8 => dot_lanes::<T, N, 8>(&x.comps, 0, &y.comps, 0, n),
-            4 => dot_lanes::<T, N, 4>(&x.comps, 0, &y.comps, 0, n),
-            _ => dot_lanes::<T, N, 2>(&x.comps, 0, &y.comps, 0, n),
-        }
+) {
+    if N <= 2 {
+        return crate::lanes::axpy_lockstep_at::<T, N>(alpha, xc, xoff, yc, yoff, n);
     }
-}
-
-#[inline(always)]
-fn dot_lanes<T: FloatBase, const N: usize, const L: usize>(
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &[Vec<T>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<T, N> {
+    let a = alpha.components();
     let xs: [&[T]; N] = slices(xc, xoff, xoff + n);
-    let ys: [&[T]; N] = slices(yc, yoff, yoff + n);
-    let mut acc = [[T::ZERO; N]; L];
-    let chunks = n / L;
-    for c in 0..chunks {
-        let base = c * L;
-        for l in 0..L {
-            let xi: [T; N] = core::array::from_fn(|k| xs[k][base + l]);
-            let yi: [T; N] = core::array::from_fn(|k| ys[k][base + l]);
-            let p = multiplication::mul(&xi, &yi);
-            acc[l] = addition::add(&acc[l], &p);
-        }
-    }
-    for i in chunks * L..n {
+    let ys: [&mut [T]; N] = slices_mut(yc, yoff, yoff + n);
+    for i in 0..n {
         let xi: [T; N] = core::array::from_fn(|k| xs[k][i]);
         let yi: [T; N] = core::array::from_fn(|k| ys[k][i]);
-        let p = multiplication::mul(&xi, &yi);
-        acc[0] = addition::add(&acc[0], &p);
-    }
-    // Tree-reduce the lanes (ceil-half pairing so non-power-of-two L
-    // would be covered too — see the same fix in `lanes::dot_lockstep_l`).
-    let mut width = L;
-    while width > 1 {
-        let half = width.div_ceil(2);
-        for l in 0..width / 2 {
-            acc[l] = addition::add(&acc[l], &acc[l + half]);
+        let s = addition::add(&multiplication::mul(&a, &xi), &yi);
+        for k in 0..N {
+            ys[k][i] = s[k];
         }
-        width = half;
     }
-    MultiFloat::from_components(acc[0])
 }
 
-fma_dispatched_soa! {
+crate::simd::fma_frame! {
+    /// `y <- alpha*x + y` over SoA vectors.
+    pub fn axpy / axpy_body [T: FloatBase, const N: usize] (
+        alpha: MultiFloat<T, N>,
+        x: &SoaVec<T, N>,
+        y: &mut SoaVec<T, N>,
+    ) {
+        assert_eq!(x.len(), y.len());
+        axpy_at(alpha, &x.comps, 0, &mut y.comps, 0, x.len())
+    }
+}
+
+crate::simd::fma_frame! {
+    /// Dot product through the lock-step lane reduction.
+    pub fn dot / dot_body [T: FloatBase, const N: usize] (
+        x: &SoaVec<T, N>,
+        y: &SoaVec<T, N>,
+    ) -> MultiFloat<T, N> {
+        assert_eq!(x.len(), y.len());
+        crate::lanes::dot_lockstep(&x.comps, 0, &y.comps, 0, x.len())
+    }
+}
+
+crate::simd::fma_frame! {
     /// `y <- alpha*A*x + beta*y`, `ij` order, SoA layout.
-    pub fn gemv / gemv_body / gemv_fma(
+    pub fn gemv / gemv_body [T: FloatBase, const N: usize] (
         alpha: MultiFloat<T, N>,
         a: &SoaMatrix<T, N>,
         x: &SoaVec<T, N>,
@@ -331,25 +207,24 @@ fma_dispatched_soa! {
         assert_eq!(a.rows, y.len());
         // beta == 0 overwrites y without reading it (standard BLAS semantics;
         // matches the AoS kernels' fix — no NaN propagation from garbage y).
+        let row = |i: usize| crate::lanes::dot_lockstep::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
         if beta.is_zero() {
             for i in 0..a.rows {
-                let row = dot_raw::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
-                y.set(i, alpha.mul(row));
+                y.set(i, alpha.mul(row(i)));
             }
         } else {
             for i in 0..a.rows {
-                let row = dot_raw::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
                 let yi = y.get(i);
-                y.set(i, beta.mul(yi).add(alpha.mul(row)));
+                y.set(i, beta.mul(yi).add(alpha.mul(row(i))));
             }
         }
     }
 }
 
-fma_dispatched_soa! {
+crate::simd::fma_frame! {
     /// `C <- alpha*A*B + beta*C`, `ikj` order, SoA layout (the inner `j` loop
     /// is the vectorized one).
-    pub fn gemm / gemm_body / gemm_fma(
+    pub fn gemm / gemm_body [T: FloatBase, const N: usize] (
         alpha: MultiFloat<T, N>,
         a: &SoaMatrix<T, N>,
         b: &SoaMatrix<T, N>,
@@ -376,32 +251,9 @@ fma_dispatched_soa! {
             }
         }
         for i in 0..a.rows {
-            let cbase = i * n;
             for k in 0..a.cols {
                 let aik = alpha.mul(a.get(i, k));
-                if N <= 2 {
-                    crate::lanes::axpy_lockstep_at::<T, N>(
-                        aik,
-                        &b.comps,
-                        k * n,
-                        &mut c.comps,
-                        cbase,
-                        n,
-                    );
-                } else {
-                    let aikc = aik.components();
-                    let bs: [&[T]; N] = slices(&b.comps, k * n, k * n + n);
-                    let cs: [&mut [T]; N] = slices_mut(&mut c.comps, cbase, cbase + n);
-                    for j in 0..n {
-                        let bkj: [T; N] = core::array::from_fn(|q| bs[q][j]);
-                        let cij: [T; N] = core::array::from_fn(|q| cs[q][j]);
-                        let p = multiplication::mul(&aikc, &bkj);
-                        let s = addition::add(&p, &cij);
-                        for q in 0..N {
-                            cs[q][j] = s[q];
-                        }
-                    }
-                }
+                axpy_at(aik, &b.comps, k * n, &mut c.comps, i * n, n);
             }
         }
     }
@@ -545,10 +397,6 @@ mod tests {
         assert_eq!(
             dot(&x_soa, &y_soa).components(),
             dot_body(&x_soa, &y_soa).components()
-        );
-        assert_eq!(
-            dot_autovec(&x_soa, &y_soa).components(),
-            dot_autovec_body(&x_soa, &y_soa).components()
         );
 
         let alpha = rand_mf(&mut rng);

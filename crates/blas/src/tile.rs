@@ -10,9 +10,9 @@
 //! panels of `A` and `B` that are **packed** into contiguous AoS scratch
 //! buffers sized for cache residency (`alpha*A` row-major, `B` block-major
 //! per `JB`-column block), and the micro-kernel accumulates `JB` columns
-//! of one C row in registers across the whole k-panel. On x86-64 the tile
-//! body is additionally compiled with AVX2+FMA enabled behind a runtime
-//! feature check, turning `two_prod`'s `mul_add` into a single `vfmadd`
+//! of one C row in registers across the whole k-panel. The tile body is
+//! dispatched through [`crate::simd::fma_frame!`] like every other kernel,
+//! turning `two_prod`'s `mul_add` into a single `vfmadd` on AVX2+FMA hosts
 //! (bit-identical — both are correctly rounded).
 //!
 //! **Bitwise contract:** per element, the tiled kernel performs exactly
@@ -23,25 +23,26 @@
 //! [`crate::soa::gemm`] and [`crate::kernels::gemm`], which the
 //! conformance harness asserts.
 //!
-//! **Parallelism & degrade:** one pool job per C-tile via
-//! [`crate::parallel::dispatch_chunks`] (pool or scoped executor, like
-//! every other dispatch). Each tile task computes into a thread-local
-//! packed C buffer — the shared matrix is only touched in the final
-//! write-back — and runs under `catch_unwind` with a pre-task snapshot of
-//! its tile region, so a panicking scalar degrades that tile to a serial
-//! rerun on the calling thread (`blas.parallel.degraded_*` telemetry, same
-//! contract as `parallel.rs`; a second panic propagates with the kernel
-//! name and tile range). Telemetry: `blas.tile.dispatches`/`blas.tile.tiles`
+//! **Parallelism & degrade:** one pool job per C-tile through the crate's
+//! chunk runner, [`crate::parallel::run_chunks`] (pool or scoped executor,
+//! same degrade contract as every other dispatch). Each tile task computes
+//! into a thread-local packed C buffer and touches the shared matrix only
+//! in its final write-back, after every scalar operation — so a panicking
+//! scalar leaves its tile of `C` untouched (the runner's output slice for
+//! a tile is empty; there is nothing to snapshot), and the runner degrades
+//! that tile to a serial rerun on the calling thread
+//! (`blas.parallel.degraded_*` telemetry; a second panic propagates with
+//! the kernel name and the tile's row range). Telemetry:
+//! `blas.tile.dispatches`/`blas.tile.tiles`
 //! counters, one `par.gemm.tile` span per tile (arg = tile element count)
 //! under a `par.gemm.tiled` dispatch span, and the `blas.tile.queue_wait`
 //! section sketching dispatch-to-tile-start latency.
 
-use crate::parallel::{self, dispatch_chunks};
+use crate::parallel::run_chunks;
 use crate::soa::SoaMatrix;
 use crate::Scalar;
 use mf_core::{FloatBase, MultiFloat};
 use mf_telemetry::{trace, Counter, Section};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 static TILE_DISPATCHES: Counter = Counter::new("blas.tile.dispatches");
@@ -129,167 +130,126 @@ fn tiles_of(rows: usize, cols: usize) -> Vec<Tile> {
     out
 }
 
-/// Compute one C-tile: runtime-dispatched entry point. On x86-64 with
-/// AVX2+FMA available the tile body is compiled with those features
-/// enabled — `two_prod`'s `mul_add` becomes one `vfmadd` instruction
-/// instead of a soft-float libm call (both are correctly rounded, so the
-/// result is bit-identical), which is worth several× on the fused
-/// extended-precision kernels. Everything else falls back to the portable
-/// build of the same body.
-fn compute_tile<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    a: &SoaMatrix<T, N>,
-    b: &SoaMatrix<T, N>,
-    beta: MultiFloat<T, N>,
-    c: &SoaTiles<'_, T>,
-    t: Tile,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::fma_frame_allowed() {
-        // SAFETY: `fma_frame_allowed` returns true only for ISA selections
-        // whose avx2+fma features were runtime-detected.
-        return unsafe { compute_tile_fma(alpha, a, b, beta, c, t) };
-    }
-    compute_tile_body(alpha, a, b, beta, c, t)
-}
+crate::simd::fma_frame! {
+    /// Compute one C-tile through packed panels. The tile of `C` and the
+    /// `alpha*A` / `B` panels are repacked from SoA into AoS scratch buffers
+    /// (`B` block-major: each `JB`-column block stores its `kh` rows
+    /// contiguously, so the micro-kernel streams it with `chunks_exact` —
+    /// no index arithmetic, no bounds checks in the hot loop).
+    ///
+    /// Per element this performs the flat kernels' exact op sequence —
+    /// `beta*c_ij` (or the `beta == 0` overwrite) first, then
+    /// `c_ij.s_mul_acc(alpha*a_ik, b_kj)` in ascending `k` — so the result is
+    /// bit-identical to `soa::gemm` / `kernels::gemm`.
+    fn compute_tile / compute_tile_body [T: FloatBase, const N: usize] (
+        alpha: MultiFloat<T, N>,
+        a: &SoaMatrix<T, N>,
+        b: &SoaMatrix<T, N>,
+        beta: MultiFloat<T, N>,
+        c: &SoaTiles<'_, T>,
+        t: Tile,
+    ) {
+        let (ih, jw) = (t.i1 - t.i0, t.j1 - t.j0);
+        let kdim = a.cols;
+        let full = jw / JB; // full JB-wide column blocks; then a `tail`-wide one
+        let tail = jw - full * JB;
 
-/// AVX2+FMA instantiation of the tile body (the `#[target_feature]`
-/// attribute applies to everything inlined into this frame, which the
-/// `#[inline(always)]` on the body and the `#[inline]` EFT primitives
-/// guarantee for the hot path).
-///
-/// # Safety
-///
-/// Caller must ensure the `avx2` and `fma` CPU features are present.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn compute_tile_fma<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    a: &SoaMatrix<T, N>,
-    b: &SoaMatrix<T, N>,
-    beta: MultiFloat<T, N>,
-    c: &SoaTiles<'_, T>,
-    t: Tile,
-) {
-    compute_tile_body(alpha, a, b, beta, c, t)
-}
+        // Packed C tile (AoS, row-major ih x jw). Load + beta-scale up front
+        // (beta == 0 overwrites: ct already zero).
+        let mut ct: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * jw];
+        if !beta.is_zero() {
+            for r in 0..ih {
+                // SAFETY: this tile's rectangle; disjoint from other tiles.
+                let rows: [&[T]; N] =
+                    core::array::from_fn(|q| &*unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
+                for (x, cij) in ct[r * jw..(r + 1) * jw].iter_mut().enumerate() {
+                    let v: [T; N] = core::array::from_fn(|q| rows[q][x]);
+                    *cij = beta.s_mul(MultiFloat::from_components(v));
+                }
+            }
+        }
 
-/// Compute one C-tile through packed panels. The tile of `C` and the
-/// `alpha*A` / `B` panels are repacked from SoA into AoS scratch buffers
-/// (`B` block-major: each `JB`-column block stores its `kh` rows
-/// contiguously, so the micro-kernel streams it with `chunks_exact` —
-/// no index arithmetic, no bounds checks in the hot loop).
-///
-/// Per element this performs the flat kernels' exact op sequence —
-/// `beta*c_ij` (or the `beta == 0` overwrite) first, then
-/// `c_ij.s_mul_acc(alpha*a_ik, b_kj)` in ascending `k` — so the result is
-/// bit-identical to `soa::gemm` / `kernels::gemm`.
-#[inline(always)]
-fn compute_tile_body<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    a: &SoaMatrix<T, N>,
-    b: &SoaMatrix<T, N>,
-    beta: MultiFloat<T, N>,
-    c: &SoaTiles<'_, T>,
-    t: Tile,
-) {
-    let (ih, jw) = (t.i1 - t.i0, t.j1 - t.j0);
-    let kdim = a.cols;
-    let full = jw / JB; // full JB-wide column blocks; then a `tail`-wide one
-    let tail = jw - full * JB;
+        // Panel scratch, reused across k-blocks: alpha*A (row-major, KC
+        // stride; alpha folded in at pack time — the identical product the
+        // flat kernels compute per (i, k), just computed once) and block-major
+        // B (block `blk` holds rows k0..k1 of columns blk*JB.. at width w,
+        // rows contiguous).
+        let mut ap: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * KC];
+        let mut bp: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; KC * jw];
 
-    // Packed C tile (AoS, row-major ih x jw). Load + beta-scale up front
-    // (beta == 0 overwrites: ct already zero).
-    let mut ct: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * jw];
-    if !beta.is_zero() {
+        let mut k0 = 0;
+        while k0 < kdim {
+            let k1 = (k0 + KC).min(kdim);
+            let kh = k1 - k0;
+            for r in 0..ih {
+                for k in 0..kh {
+                    ap[r * KC + k] = alpha.s_mul(a.get(t.i0 + r, k0 + k));
+                }
+            }
+            let mut blk = 0;
+            let mut boff = 0;
+            while blk * JB < jw {
+                let w = JB.min(jw - blk * JB);
+                for k in 0..kh {
+                    for x in 0..w {
+                        let j = t.j0 + blk * JB + x;
+                        let v: [T; N] = core::array::from_fn(|q| b.comps[q][(k0 + k) * b.cols + j]);
+                        bp[boff + k * w + x] = MultiFloat::from_components(v);
+                    }
+                }
+                blk += 1;
+                boff += kh * w;
+            }
+
+            // Register-blocked micro-kernel: each JB-column block of a C tile
+            // row accumulates on the stack across the *entire* k-panel — the
+            // flat kernels reload and restore every c_ij once per k; with the
+            // k loop innermost that round trip disappears, and the JB
+            // independent accumulation chains feed the out-of-order core ILP
+            // that one element's serial `add(mul)` dependency chain cannot.
+            for r in 0..ih {
+                let arow = &ap[r * KC..r * KC + kh];
+                for blk in 0..full {
+                    let bblk = &bp[blk * JB * kh..(blk + 1) * JB * kh];
+                    let cbase = r * jw + blk * JB;
+                    let mut acc: [MultiFloat<T, N>; JB] = core::array::from_fn(|x| ct[cbase + x]);
+                    for (aik, bk) in arow.iter().zip(bblk.chunks_exact(JB)) {
+                        for x in 0..JB {
+                            acc[x] = acc[x].s_mul_acc(*aik, bk[x]);
+                        }
+                    }
+                    ct[cbase..cbase + JB].copy_from_slice(&acc);
+                }
+                if tail > 0 {
+                    let boff = full * JB * kh;
+                    let bblk = &bp[boff..boff + tail * kh];
+                    let cbase = r * jw + full * JB;
+                    let mut acc: [MultiFloat<T, N>; JB] =
+                        core::array::from_fn(|x| ct[cbase + x.min(tail - 1)]);
+                    for (aik, bk) in arow.iter().zip(bblk.chunks_exact(tail)) {
+                        for (x, bkj) in bk.iter().enumerate() {
+                            acc[x] = acc[x].s_mul_acc(*aik, *bkj);
+                        }
+                    }
+                    ct[cbase..cbase + tail].copy_from_slice(&acc[..tail]);
+                }
+            }
+            k0 = k1;
+        }
+
+        // Write the finished tile back: the only shared-matrix mutation,
+        // and it must stay after every scalar operation — a panic before
+        // it leaves the tile untouched, which is what lets the chunk runner
+        // rerun the tile without a snapshot.
         for r in 0..ih {
             // SAFETY: this tile's rectangle; disjoint from other tiles.
-            let rows: [&[T]; N] =
-                core::array::from_fn(|q| &*unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
-            for (x, cij) in ct[r * jw..(r + 1) * jw].iter_mut().enumerate() {
-                let v: [T; N] = core::array::from_fn(|q| rows[q][x]);
-                *cij = beta.s_mul(MultiFloat::from_components(v));
-            }
-        }
-    }
-
-    // Panel scratch, reused across k-blocks: alpha*A (row-major, KC
-    // stride; alpha folded in at pack time — the identical product the
-    // flat kernels compute per (i, k), just computed once) and block-major
-    // B (block `blk` holds rows k0..k1 of columns blk*JB.. at width w,
-    // rows contiguous).
-    let mut ap: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * KC];
-    let mut bp: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; KC * jw];
-
-    let mut k0 = 0;
-    while k0 < kdim {
-        let k1 = (k0 + KC).min(kdim);
-        let kh = k1 - k0;
-        for r in 0..ih {
-            for k in 0..kh {
-                ap[r * KC + k] = alpha.s_mul(a.get(t.i0 + r, k0 + k));
-            }
-        }
-        let mut blk = 0;
-        let mut boff = 0;
-        while blk * JB < jw {
-            let w = JB.min(jw - blk * JB);
-            for k in 0..kh {
-                for x in 0..w {
-                    let j = t.j0 + blk * JB + x;
-                    let v: [T; N] = core::array::from_fn(|q| b.comps[q][(k0 + k) * b.cols + j]);
-                    bp[boff + k * w + x] = MultiFloat::from_components(v);
+            let rows: [&mut [T]; N] =
+                core::array::from_fn(|q| unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
+            for (x, cij) in ct[r * jw..(r + 1) * jw].iter().enumerate() {
+                let comps = cij.components();
+                for q in 0..N {
+                    rows[q][x] = comps[q];
                 }
-            }
-            blk += 1;
-            boff += kh * w;
-        }
-
-        // Register-blocked micro-kernel: each JB-column block of a C tile
-        // row accumulates on the stack across the *entire* k-panel — the
-        // flat kernels reload and restore every c_ij once per k; with the
-        // k loop innermost that round trip disappears, and the JB
-        // independent accumulation chains feed the out-of-order core ILP
-        // that one element's serial `add(mul)` dependency chain cannot.
-        for r in 0..ih {
-            let arow = &ap[r * KC..r * KC + kh];
-            for blk in 0..full {
-                let bblk = &bp[blk * JB * kh..(blk + 1) * JB * kh];
-                let cbase = r * jw + blk * JB;
-                let mut acc: [MultiFloat<T, N>; JB] = core::array::from_fn(|x| ct[cbase + x]);
-                for (aik, bk) in arow.iter().zip(bblk.chunks_exact(JB)) {
-                    for x in 0..JB {
-                        acc[x] = acc[x].s_mul_acc(*aik, bk[x]);
-                    }
-                }
-                ct[cbase..cbase + JB].copy_from_slice(&acc);
-            }
-            if tail > 0 {
-                let boff = full * JB * kh;
-                let bblk = &bp[boff..boff + tail * kh];
-                let cbase = r * jw + full * JB;
-                let mut acc: [MultiFloat<T, N>; JB] =
-                    core::array::from_fn(|x| ct[cbase + x.min(tail - 1)]);
-                for (aik, bk) in arow.iter().zip(bblk.chunks_exact(tail)) {
-                    for (x, bkj) in bk.iter().enumerate() {
-                        acc[x] = acc[x].s_mul_acc(*aik, *bkj);
-                    }
-                }
-                ct[cbase..cbase + tail].copy_from_slice(&acc[..tail]);
-            }
-        }
-        k0 = k1;
-    }
-
-    // Write the finished tile back (the only shared-matrix mutation).
-    for r in 0..ih {
-        // SAFETY: this tile's rectangle; disjoint from other tiles.
-        let rows: [&mut [T]; N] =
-            core::array::from_fn(|q| unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
-        for (x, cij) in ct[r * jw..(r + 1) * jw].iter().enumerate() {
-            let comps = cij.components();
-            for q in 0..N {
-                rows[q][x] = comps[q];
             }
         }
     }
@@ -342,56 +302,26 @@ pub fn gemm_tiled<T: FloatBase, const N: usize>(
     }
 
     let dispatched = Instant::now();
-    let failed = dispatch_chunks(tiles.len(), &|ti| {
+    let rows: Vec<(usize, usize)> = tiles.iter().map(|t| (t.i0, t.i1)).collect();
+    run_chunks("gemm_tiled", &rows, &mut [(); 0], 0, &|ti, _| {
         let t = tiles[ti];
         TILE_QUEUE_WAIT.add_ns(dispatched.elapsed().as_nanos() as u64);
         let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
-        // Snapshot the tile rectangle so a panicking scalar can't leave a
-        // torn write-back; compute itself only touches thread-local
-        // buffers.
-        let snapshot: Vec<Vec<T>> = (0..N)
-            .map(|q| {
-                let mut s = Vec::with_capacity((t.i1 - t.i0) * (t.j1 - t.j0));
-                for r in t.i0..t.i1 {
-                    // SAFETY: this tile's rectangle; disjoint from others.
-                    s.extend_from_slice(unsafe { shared.row_mut(q, r, t.j0, t.j1) });
-                }
-                s
-            })
-            .collect();
-        match catch_unwind(AssertUnwindSafe(|| {
-            compute_tile(alpha, a, b, beta, &shared, t)
-        })) {
-            Ok(()) => true,
-            Err(_) => {
-                let jw = t.j1 - t.j0;
-                for (q, snap) in snapshot.iter().enumerate() {
-                    for (ri, r) in (t.i0..t.i1).enumerate() {
-                        // SAFETY: this tile's rectangle; disjoint from others.
-                        let dst = unsafe { shared.row_mut(q, r, t.j0, t.j1) };
-                        dst.copy_from_slice(&snap[ri * jw..(ri + 1) * jw]);
-                    }
-                }
-                false
-            }
-        }
+        compute_tile(alpha, a, b, beta, &shared, t)
     });
-    parallel::record_degraded(failed.len());
-    for ti in failed {
-        let t = tiles[ti];
-        parallel::degraded_rerun("gemm_tiled", t.i0, t.i1, || {
-            compute_tile(alpha, a, b, beta, &shared, t)
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::soa::{self, SoaMatrix};
+    use core::fmt;
+    use core::ops::{Add, Div, Mul, Neg, Sub};
     use mf_core::F64x2;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::Mutex;
 
     fn rand_soa<const N: usize>(rng: &mut SmallRng, rows: usize, cols: usize) -> SoaMatrix<f64, N> {
         SoaMatrix::from_fn(rows, cols, |_, _| {
@@ -503,5 +433,210 @@ mod tests {
     #[test]
     fn tiled_more_threads_than_tiles() {
         assert_tiled_matches_flat::<3>(2, 3, 2, 16, 2300);
+    }
+
+    /// An `f64` whose `Mul` and `mul_add` panic while the fuse is lit:
+    /// injects a scalar fault into whichever tile task runs first, so the
+    /// tiled GEMM's degrade path can be exercised at `T: FloatBase` (the
+    /// `Scalar`-level `Flaky` type of `parallel.rs` cannot reach it).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
+    struct Fused(f64);
+
+    /// Positive: multiplies until a single panic fires (the counter then
+    /// disarms by running past zero). At or below `PERSISTENT`: every
+    /// multiply panics.
+    static FUSE: AtomicI64 = AtomicI64::new(0);
+    const PERSISTENT: i64 = i64::MIN / 2;
+    /// Serializes the tests that arm the shared fuse.
+    static FUSE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn burn() {
+        let v = FUSE.fetch_sub(1, Ordering::SeqCst);
+        if v == 1 || v <= PERSISTENT {
+            panic!("fused scalar blew its fuse");
+        }
+    }
+
+    impl fmt::Display for Fused {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fmt::Display::fmt(&self.0, f)
+        }
+    }
+
+    impl fmt::LowerExp for Fused {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fmt::LowerExp::fmt(&self.0, f)
+        }
+    }
+
+    impl Add for Fused {
+        type Output = Self;
+        fn add(self, o: Self) -> Self {
+            Fused(self.0 + o.0)
+        }
+    }
+
+    impl Sub for Fused {
+        type Output = Self;
+        fn sub(self, o: Self) -> Self {
+            Fused(self.0 - o.0)
+        }
+    }
+
+    impl Mul for Fused {
+        type Output = Self;
+        fn mul(self, o: Self) -> Self {
+            burn();
+            Fused(self.0 * o.0)
+        }
+    }
+
+    impl Div for Fused {
+        type Output = Self;
+        fn div(self, o: Self) -> Self {
+            Fused(self.0 / o.0)
+        }
+    }
+
+    impl Neg for Fused {
+        type Output = Self;
+        fn neg(self) -> Self {
+            Fused(-self.0)
+        }
+    }
+
+    impl FloatBase for Fused {
+        const PRECISION: u32 = f64::PRECISION;
+        const MIN_EXP: i32 = <f64 as FloatBase>::MIN_EXP;
+        const MAX_EXP: i32 = <f64 as FloatBase>::MAX_EXP;
+        const ZERO: Self = Fused(0.0);
+        const ONE: Self = Fused(1.0);
+        const NEG_ONE: Self = Fused(-1.0);
+        const HALF: Self = Fused(0.5);
+        const TWO: Self = Fused(2.0);
+        const EPSILON: Self = Fused(f64::EPSILON);
+        const MAX: Self = Fused(f64::MAX);
+        const MIN_POSITIVE: Self = Fused(f64::MIN_POSITIVE);
+        const INFINITY: Self = Fused(f64::INFINITY);
+        const NEG_INFINITY: Self = Fused(f64::NEG_INFINITY);
+        const NAN: Self = Fused(f64::NAN);
+
+        fn mul_add(self, a: Self, b: Self) -> Self {
+            burn();
+            Fused(self.0.mul_add(a.0, b.0))
+        }
+        fn sqrt(self) -> Self {
+            Fused(self.0.sqrt())
+        }
+        fn abs(self) -> Self {
+            Fused(self.0.abs())
+        }
+        fn recip(self) -> Self {
+            Fused(self.0.recip())
+        }
+        fn floor(self) -> Self {
+            Fused(self.0.floor())
+        }
+        fn ceil(self) -> Self {
+            Fused(self.0.ceil())
+        }
+        fn round(self) -> Self {
+            Fused(self.0.round())
+        }
+        fn trunc(self) -> Self {
+            Fused(self.0.trunc())
+        }
+        fn is_nan(self) -> bool {
+            self.0.is_nan()
+        }
+        fn is_infinite(self) -> bool {
+            self.0.is_infinite()
+        }
+        fn is_finite(self) -> bool {
+            self.0.is_finite()
+        }
+        fn is_sign_negative(self) -> bool {
+            self.0.is_sign_negative()
+        }
+        fn exponent(self) -> i32 {
+            FloatBase::exponent(self.0)
+        }
+        fn exp2i(e: i32) -> Self {
+            Fused(<f64 as FloatBase>::exp2i(e))
+        }
+        fn from_f64(x: f64) -> Self {
+            Fused(x)
+        }
+        fn to_f64(self) -> f64 {
+            self.0
+        }
+        fn copysign(self, sign: Self) -> Self {
+            Fused(self.0.copysign(sign.0))
+        }
+        fn min(self, other: Self) -> Self {
+            Fused(self.0.min(other.0))
+        }
+        fn max(self, other: Self) -> Self {
+            Fused(self.0.max(other.0))
+        }
+    }
+
+    /// Operands spanning 3 x 2 tiles, so `threads > 1` dispatches.
+    fn fused_operands() -> [SoaMatrix<Fused, 2>; 3] {
+        let mut rng = SmallRng::seed_from_u64(2400);
+        let mut mk = |rows, cols| {
+            SoaMatrix::from_fn(rows, cols, |_, _| {
+                MultiFloat::from_components([Fused(rng.gen_range(-1.0..1.0f64)), Fused(0.0)])
+            })
+        };
+        [mk(2 * MC + 3, 9), mk(9, NC + 5), mk(2 * MC + 3, NC + 5)]
+    }
+
+    /// A transient scalar panic inside one tile task is restored and rerun
+    /// serially: the result stays bit-identical to `soa::gemm`.
+    #[test]
+    fn tiled_transient_panic_recovers_bit_identical() {
+        let _fuse = FUSE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let [a, b, c0] = fused_operands();
+        let alpha = MultiFloat::from_components([Fused(1.25), Fused(0.0)]);
+        let beta = MultiFloat::from_components([Fused(-0.5), Fused(0.0)]);
+        FUSE.store(0, Ordering::SeqCst);
+        let mut c_ref = c0.clone();
+        soa::gemm(alpha, &a, &b, beta, &mut c_ref);
+
+        // Count the multiplies of one clean tiled run, then light the fuse
+        // to blow halfway through the next: inside some tile's k-panel
+        // loop, where most of the multiplies are.
+        FUSE.store(0, Ordering::SeqCst);
+        gemm_tiled(alpha, &a, &b, beta, &mut c0.clone(), 3);
+        let total = -FUSE.load(Ordering::SeqCst);
+        FUSE.store(total / 2, Ordering::SeqCst);
+        let mut c_tile = c0.clone();
+        gemm_tiled(alpha, &a, &b, beta, &mut c_tile, 3);
+        let fired = FUSE.swap(0, Ordering::SeqCst) < 0;
+        assert!(fired, "the fuse never fired: the test injected no fault");
+        for q in 0..2 {
+            assert_eq!(
+                c_tile.comps[q], c_ref.comps[q],
+                "comp {q}: degraded tile diverged"
+            );
+        }
+    }
+
+    /// A panic that survives the serial retry propagates with the kernel
+    /// name, the failing tile's row range (the first tile: rows 0..MC) and
+    /// the scalar's own message. The fuse stays lit after the panic; every
+    /// test that uses `Fused` sets it first.
+    #[test]
+    #[should_panic(
+        expected = "mf-blas gemm_tiled: worker and serial retry both panicked on chunk 0..32: \
+                    fused scalar blew its fuse"
+    )]
+    fn tiled_persistent_panic_names_kernel_and_tile() {
+        let _fuse = FUSE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let [a, b, mut c] = fused_operands();
+        let one = MultiFloat::from_components([Fused(1.0), Fused(0.0)]);
+        FUSE.store(PERSISTENT, Ordering::SeqCst);
+        gemm_tiled(one, &a, &b, one, &mut c, 2);
     }
 }
