@@ -90,7 +90,7 @@ fn gen_case(name: &str, rng: &mut SmallRng) -> Vec<f64> {
         }
         inputs
     } else {
-        networks::mul_expansion_step(&x, &y)
+        networks::mul_expansion_step_generic(&x, &y)
     }
 }
 

@@ -10,13 +10,15 @@
 //! asserted by `tests/error_bounds.rs`.
 //!
 //! The exact gate diagrams of the paper's Figures 2–4 are images and not
-//! recoverable from its text; the 2-term kernel below is the provably
-//! correct `AccurateDWPlusDW` sequence (Joldes–Muller–Popescu 2017,
-//! Algorithm 6) whose size (6) and depth (4) match the paper's optimal
-//! network, and the 3/4-term kernels follow the paper's own construction
-//! recipe (see DESIGN.md substitution T8).
+//! recoverable from its text; the 2-term network is the provably correct
+//! `AccurateDWPlusDW` sequence (Joldes–Muller–Popescu 2017, Algorithm 6)
+//! whose size matches the paper's optimal network, and the
+//! 3/4-term networks follow the paper's own construction recipe (see
+//! DESIGN.md substitution T8). The gates live once, as tables, in
+//! [`crate::gates`]; [`add`] runs the kernels generated from them.
 
-use crate::renorm::renorm_weak;
+use crate::gates;
+use crate::renorm::renorm_m_to_n;
 use mf_eft::{fast_two_sum, two_sum, FloatBase};
 
 /// Dispatch: add two `N`-term nonoverlapping expansions, producing an
@@ -29,9 +31,9 @@ pub fn add<T: FloatBase, const N: usize>(x: &[T; N], y: &[T; N]) -> [T; N] {
             out[0] = x[0] + y[0];
             out
         }
-        2 => from2(add2([x[0], x[1]], [y[0], y[1]])),
-        3 => from3(add3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
-        4 => from4(add4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
+        2 => resize(&gates::add2(interleave(x, y))),
+        3 => resize(&gates::add3(interleave(x, y))),
+        4 => resize(&gates::add4(interleave(x, y))),
         _ => unreachable!("N is checked at construction"),
     }
 }
@@ -45,59 +47,37 @@ pub fn add_scalar<T: FloatBase, const N: usize>(x: &[T; N], y: T) -> [T; N] {
             out[0] = x[0] + y;
             out
         }
-        2 => from2(add2_scalar([x[0], x[1]], y)),
+        2 => resize(&add2_scalar([x[0], x[1]], y)),
         3 => {
             let (s0, e0) = two_sum(x[0], y);
-            renorm_from([s0, x[1], x[2], e0])
+            renorm_m_to_n([s0, x[1], x[2], e0])
         }
         4 => {
             let (s0, e0) = two_sum(x[0], y);
-            renorm_from([s0, x[1], x[2], x[3], e0])
+            renorm_m_to_n([s0, x[1], x[2], x[3], e0])
         }
         _ => unreachable!(),
     }
 }
 
+/// The addition networks' input wires `[x0, y0, x1, y1, …]`.
 #[inline(always)]
-fn from2<T: FloatBase, const N: usize>(v: [T; 2]) -> [T; N] {
+fn interleave<T: FloatBase, const N: usize, const M: usize>(x: &[T; N], y: &[T; N]) -> [T; M] {
+    let mut w = [T::ZERO; M];
+    for i in 0..M / 2 {
+        w[2 * i] = x[i];
+        w[2 * i + 1] = y[i];
+    }
+    w
+}
+
+/// Copy an `M`-term kernel result into the `N`-term dispatch result
+/// (`M == N` on every reachable dispatch arm).
+#[inline(always)]
+pub(crate) fn resize<T: FloatBase, const M: usize, const N: usize>(v: &[T; M]) -> [T; N] {
     let mut out = [T::ZERO; N];
-    out[0] = v[0];
-    out[1] = v[1];
+    out[..M].copy_from_slice(v);
     out
-}
-
-#[inline(always)]
-fn from3<T: FloatBase, const N: usize>(v: [T; 3]) -> [T; N] {
-    let mut out = [T::ZERO; N];
-    out[..3].copy_from_slice(&v);
-    out
-}
-
-#[inline(always)]
-fn from4<T: FloatBase, const N: usize>(v: [T; 4]) -> [T; N] {
-    let mut out = [T::ZERO; N];
-    out[..4].copy_from_slice(&v);
-    out
-}
-
-#[inline(always)]
-fn renorm_from<T: FloatBase, const M: usize, const N: usize>(v: [T; M]) -> [T; N] {
-    renorm_weak::<T, M, N>(v)
-}
-
-/// 2-term addition FPAN: size 6, depth 4 — `AccurateDWPlusDW`.
-/// Discarded error `<= 3u^2 / (1 - 4u) |x + y|` (proven by Joldes, Muller &
-/// Popescu 2017; the paper's Figure 2 network carries the bound
-/// `2^-(2p-1)|x+y|`).
-#[inline(always)]
-pub fn add2<T: FloatBase>(x: [T; 2], y: [T; 2]) -> [T; 2] {
-    let (s, e) = two_sum(x[0], y[0]); // pairing layer
-    let (t, f) = two_sum(x[1], y[1]);
-    let e = e + t; // discard gate
-    let (s, e) = fast_two_sum(s, e);
-    let e = e + f; // discard gate
-    let (z0, z1) = fast_two_sum(s, e);
-    [z0, z1]
 }
 
 /// 2-term + scalar: `DWPlusFP` (size 4): exact except the final
@@ -110,57 +90,13 @@ pub fn add2_scalar<T: FloatBase>(x: [T; 2], y: T) -> [T; 2] {
     [z0, z1]
 }
 
-/// 3-term addition FPAN (paper Figure 3 class: size 14, depth 8 reference).
-///
-/// Structure: pairing layer (3 `TwoSum`) → diagonal error absorption
-/// (3 `TwoSum`) → tail accumulation (2 adds) → renormalization of the
-/// 4-value carry-save form (6 `TwoSum`). Total size 14.
-#[inline(always)]
-pub fn add3<T: FloatBase>(x: [T; 3], y: [T; 3]) -> [T; 3] {
-    // Pairing layer: term-by-term TwoSum (commutativity layer).
-    let (s0, e0) = two_sum(x[0], y[0]);
-    let (s1, e1) = two_sum(x[1], y[1]);
-    let (s2, e2) = two_sum(x[2], y[2]);
-    // Absorption: each pairing error joins the next-lower sum.
-    let (s1, t0) = two_sum(s1, e0);
-    let (s2, t1) = two_sum(s2, e1);
-    let (s2, u0) = two_sum(s2, t0);
-    // Tail: everything at relative level >= 3.
-    let tail = (e2 + t1) + u0;
-    renorm_from([s0, s1, s2, tail])
-}
-
-/// 4-term addition FPAN (paper Figure 4 class: size 26, depth 11 reference).
-///
-/// Pairing layer (4 `TwoSum`) → triangular absorption (6 `TwoSum`) → tail
-/// accumulation (3 adds) → renormalization of 5 values (8 `TwoSum`).
-/// Total size 21.
-#[inline(always)]
-pub fn add4<T: FloatBase>(x: [T; 4], y: [T; 4]) -> [T; 4] {
-    let (s0, e0) = two_sum(x[0], y[0]);
-    let (s1, e1) = two_sum(x[1], y[1]);
-    let (s2, e2) = two_sum(x[2], y[2]);
-    let (s3, e3) = two_sum(x[3], y[3]);
-    // Absorption sweep 1: errors fall one level.
-    let (s1, t0) = two_sum(s1, e0);
-    let (s2, t1) = two_sum(s2, e1);
-    let (s3, t2) = two_sum(s3, e2);
-    // Absorption sweep 2.
-    let (s2, u0) = two_sum(s2, t0);
-    let (s3, u1) = two_sum(s3, t1);
-    // Absorption sweep 3.
-    let (s3, v0) = two_sum(s3, u0);
-    // Tail: level >= 4 residues.
-    let tail = ((e3 + t2) + u1) + v0;
-    renorm_from([s0, s1, s2, s3, tail])
-}
-
 /// Generic-N addition (DESIGN.md ablation §3.1): the uniform construction
 /// — pairing layer, triangular absorption, descending tail fold,
-/// renormalization — written as loops over `N`. The fixed kernels
-/// [`add2`]/[`add3`]/[`add4`] are exactly this sequence unrolled, and the
-/// test suite checks bitwise agreement; this version exists to (a) prove
-/// that claim and (b) measure what the compiler does with the rolled form.
+/// renormalization — written as loops over `N`. The generated kernels
+/// [`gates::add3`]/[`gates::add4`] are exactly this sequence unrolled, and
+/// the test suite checks bitwise agreement; this version exists to (a)
+/// prove that claim and (b) measure what the compiler does with the rolled
+/// form.
 pub fn add_generic<T: FloatBase, const N: usize>(x: &[T; N], y: &[T; N]) -> [T; N] {
     if N == 1 {
         let mut out = [T::ZERO; N];
@@ -485,7 +421,7 @@ pub(crate) mod tests {
         // Tails exactly at the ulp/2 nonoverlap boundary.
         let x = [1.0, 2.0f64.powi(-53)];
         let y = [1.0, 2.0f64.powi(-53)];
-        let z = add2(x, y);
+        let z = add(&x, &y);
         assert_eq!(exact(&z).to_f64(), 2.0 + 2.0f64.powi(-52));
         let m = MultiFloat::<f64, 2> { c: z };
         assert!(m.is_nonoverlapping());
@@ -499,7 +435,7 @@ pub(crate) mod tests {
         let b = 2.0f64.powi(-71);
         let x = [1.0, a];
         let y = [-1.0, -b];
-        let z = add2(x, y);
+        let z = add(&x, &y);
         assert_eq!(exact(&z).to_f64(), a - b);
     }
 }

@@ -32,8 +32,8 @@
 //!
 //! | Operation | Algorithm | Where |
 //! |-----------|-----------|-------|
-//! | `+`, `-`  | addition FPANs (pairing layer → error absorption → renormalization) | [`addition`] |
-//! | `*`       | pruned `TwoProd` expansion + commutative accumulation FPAN | [`multiplication`] |
+//! | `+`, `-`  | addition FPANs (pairing layer → error absorption → renormalization) | [`addition`], tables in [`gates`] |
+//! | `*`       | pruned `TwoProd` expansion + commutative accumulation FPAN | [`multiplication`], tables in [`gates`] |
 //! | `/`, `recip` | division-free Newton–Raphson, optional Karp–Markstein fusion | [`division`] |
 //! | `sqrt`, `rsqrt` | Newton–Raphson on 1/√a | [`sqrt`] |
 //! | `exp`, `ln`, `powi`, … | extensions built on the above | [`math`] |
@@ -53,6 +53,7 @@ pub mod complex;
 pub mod consts;
 pub mod convert;
 pub mod division;
+pub mod gates;
 pub mod guard;
 pub mod math;
 pub mod multiplication;

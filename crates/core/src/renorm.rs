@@ -12,10 +12,9 @@
 //! intermediate zeros, these sweeps are straight-line code: a zero term
 //! simply flows through the `TwoSum` gates (TwoSum(x, 0) = (x, 0) exactly).
 //!
-//! The per-operation kernels in [`crate::addition`] / [`crate::multiplication`]
-//! call [`renorm_weak`] on sequences they have already partially ordered;
-//! [`renorm`] is the fully general entry point used by
-//! `MultiFloat::from_components_renorm`.
+//! The network kernels in [`crate::gates`] call [`renorm_m_to_n`] on
+//! sequences they have already partially ordered; [`renorm`] is the fully
+//! general entry point used by `MultiFloat::from_components_renorm`.
 
 use mf_eft::{two_sum, FloatBase};
 use mf_telemetry::{Counter, Histogram};
@@ -71,11 +70,27 @@ pub fn sweep_down<T: FloatBase, const M: usize>(v: &mut [T; M]) {
     }
 }
 
+/// Number of top-down sweeps in the kernel renormalization of `m` values:
+/// `m - 2`, but at least 2. The one schedule behind [`renorm_m_to_n`],
+/// [`renorm_slice`] and the network renormalization gates
+/// ([`crate::gates::renorm_gates`]).
+pub const fn down_sweeps(m: usize) -> usize {
+    if m > 4 {
+        m - 2
+    } else {
+        2
+    }
+}
+
 /// Renormalize `M` arbitrary values into an `N`-term nonoverlapping
 /// expansion of their exact sum (`M >= N`; terms beyond `N` are the
 /// discarded error, bounded by the callers' FPAN error analyses).
 ///
-/// Sweep schedule: **up, up**, then **max(2, M-2) down** sweeps.
+/// Sweep schedule: **up, up**, then [`down_sweeps`]`(M)` **down** sweeps.
+/// The arithmetic kernels need all of it even though their accumulation
+/// stages emit weakly ordered sequences: the empirical verifier (`mf-fpan`)
+/// rejects every cheaper schedule we tried on multi-level cancellation
+/// inputs (both heads *and* second terms cancelling).
 ///
 /// * The first up sweep concentrates the rounded total in the head, but
 ///   cancellation can bury residual mass below zeros (e.g.
@@ -98,7 +113,7 @@ pub fn renorm_m_to_n<T: FloatBase, const M: usize, const N: usize>(mut v: [T; M]
     };
     sweep_up(&mut v);
     sweep_up(&mut v);
-    let downs = if M > 4 { M - 2 } else { 2 };
+    let downs = down_sweeps(M);
     for _ in 0..downs {
         sweep_down(&mut v);
     }
@@ -126,7 +141,7 @@ pub fn renorm<T: FloatBase, const N: usize>(mut v: [T; N]) -> [T; N] {
     };
     sweep_up(&mut v);
     sweep_up(&mut v);
-    let downs = if N > 4 { N - 1 } else { 3 };
+    let downs = down_sweeps(N) + 1;
     for _ in 0..downs {
         sweep_down(&mut v);
     }
@@ -162,22 +177,11 @@ pub fn renorm_slice<T: FloatBase>(v: &mut [T]) {
     };
     sweep_up_slice(v);
     sweep_up_slice(v);
-    let downs = if v.len() > 4 { v.len() - 2 } else { 2 };
+    let downs = down_sweeps(v.len());
     for _ in 0..downs {
         sweep_down_slice(v);
     }
     record_renorm(in_exp, v, 2 + downs);
-}
-
-/// Renormalization used by the arithmetic kernels. Even though their
-/// accumulation stages emit weakly ordered sequences, multi-level
-/// cancellation (both heads *and* second terms cancelling) can bury
-/// residual mass below zeros, so the same up-up-down-down schedule as
-/// [`renorm_m_to_n`] is required; the empirical verifier (`mf-fpan`)
-/// rejects every cheaper schedule we tried on exactly those inputs.
-#[inline(always)]
-pub fn renorm_weak<T: FloatBase, const M: usize, const N: usize>(v: [T; M]) -> [T; N] {
-    renorm_m_to_n::<T, M, N>(v)
 }
 
 #[cfg(test)]

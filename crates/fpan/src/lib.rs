@@ -19,8 +19,9 @@
 //!   the same network object executes on `f64`, `f32`, or the bit-exact
 //!   [`mf_softfloat::SoftFloat`] at any toy precision;
 //! * [`networks`] — the six shipped networks (2/3/4-term addition and
-//!   multiplication accumulation), each tested bit-for-bit against the
-//!   hand-unrolled kernels in `mf-core`;
+//!   multiplication accumulation), built from the gate tables in
+//!   `mf_core::gates` that also generate `mf-core`'s kernels, and tested
+//!   bit-for-bit against those kernels;
 //! * [`verify`] — the empirical verification procedure standing in for the
 //!   paper's SMT pipeline (DESIGN.md substitution T1);
 //! * [`search`] — the simulated-annealing discovery procedure of §4.1.
@@ -30,7 +31,8 @@ pub mod networks;
 pub mod search;
 pub mod verify;
 
-use mf_eft::{fast_two_sum, two_sum, FloatBase};
+pub use mf_core::gates::{Gate, GateKind};
+use mf_eft::FloatBase;
 use mf_telemetry::Counter;
 
 static EXEC_RUNS: Counter = Counter::new("fpan.exec.runs");
@@ -50,29 +52,6 @@ fn record_run(net: &Fpan) {
     EXEC_ADD.add(adds as u64);
     EXEC_TWO_SUM.add(two_sums as u64);
     EXEC_FAST_TWO_SUM.add(fast_two_sums as u64);
-}
-
-/// The three gate kinds of an FPAN diagram (paper §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GateKind {
-    /// Plain floating-point addition; discards its rounding error.
-    Add,
-    /// Error-free `TwoSum` (Algorithm 1).
-    TwoSum,
-    /// Error-free `FastTwoSum` (Algorithm 3); requires
-    /// `exponent(hi) >= exponent(lo)` or a zero operand.
-    FastTwoSum,
-}
-
-/// One gate: operates on the values currently held by wires `hi` and `lo`.
-/// For two-output gates, the sum lands on `hi` and the error on `lo`;
-/// for [`GateKind::Add`], the sum lands on `hi` and `lo` becomes dead
-/// (zeroed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Gate {
-    pub kind: GateKind,
-    pub hi: usize,
-    pub lo: usize,
 }
 
 /// A floating-point accumulation network.
@@ -123,32 +102,12 @@ impl Fpan {
     }
 
     /// Execute the network on `inputs` (length `n_inputs`), returning the
-    /// output values in `outputs` order.
+    /// output values in `outputs` order. Debug builds panic when a
+    /// `FastTwoSum` precondition is violated, like the kernels.
     pub fn run<T: FloatBase>(&self, inputs: &[T]) -> Vec<T> {
-        assert_eq!(inputs.len(), self.n_inputs, "wrong input count");
-        record_run(self);
-        let mut w = vec![T::ZERO; self.n_wires];
-        w[..inputs.len()].copy_from_slice(inputs);
-        for g in &self.gates {
-            let (a, b) = (w[g.hi], w[g.lo]);
-            match g.kind {
-                GateKind::Add => {
-                    w[g.hi] = a + b;
-                    w[g.lo] = T::ZERO;
-                }
-                GateKind::TwoSum => {
-                    let (s, e) = two_sum(a, b);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-                GateKind::FastTwoSum => {
-                    let (s, e) = fast_two_sum(a, b);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-            }
-        }
-        self.outputs.iter().map(|&i| w[i]).collect()
+        let (out, precond_ok) = self.run_checked(inputs);
+        debug_assert!(precond_ok, "FastTwoSum precondition violated");
+        out
     }
 
     /// Like [`Fpan::run`] but reports whether any `FastTwoSum` gate saw its
@@ -161,29 +120,7 @@ impl Fpan {
         w[..inputs.len()].copy_from_slice(inputs);
         let mut precond_ok = true;
         for g in &self.gates {
-            let (a, b) = (w[g.hi], w[g.lo]);
-            match g.kind {
-                GateKind::Add => {
-                    w[g.hi] = a + b;
-                    w[g.lo] = T::ZERO;
-                }
-                GateKind::TwoSum => {
-                    let (s, e) = two_sum(a, b);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-                GateKind::FastTwoSum => {
-                    if !(a.is_zero() || b.is_zero() || a.exponent() >= b.exponent()) {
-                        precond_ok = false;
-                    }
-                    // Evaluate with TwoSum semantics of the would-be result:
-                    // FastTwoSum computes s = a+b; e = b - (s - a).
-                    let s = a + b;
-                    let e = b - (s - a);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-            }
+            precond_ok &= g.apply(&mut w);
         }
         (self.outputs.iter().map(|&i| w[i]).collect(), precond_ok)
     }
@@ -209,7 +146,7 @@ impl Fpan {
     }
 }
 
-/// Convenience builder used by [`networks`] and tests.
+/// Convenience builder for hand-written networks (tests, examples).
 pub struct Builder {
     fpan: Fpan,
 }
@@ -221,38 +158,21 @@ impl Builder {
         }
     }
 
-    /// Allocate an extra (zero-initialized) wire.
-    pub fn wire(&mut self) -> usize {
-        let w = self.fpan.n_wires;
-        self.fpan.n_wires += 1;
-        w
+    fn push(&mut self, kind: GateKind, hi: usize, lo: usize) -> &mut Self {
+        self.fpan.gates.push(Gate { kind, hi, lo });
+        self
     }
 
     pub fn two_sum(&mut self, hi: usize, lo: usize) -> &mut Self {
-        self.fpan.gates.push(Gate {
-            kind: GateKind::TwoSum,
-            hi,
-            lo,
-        });
-        self
+        self.push(GateKind::TwoSum, hi, lo)
     }
 
     pub fn fast_two_sum(&mut self, hi: usize, lo: usize) -> &mut Self {
-        self.fpan.gates.push(Gate {
-            kind: GateKind::FastTwoSum,
-            hi,
-            lo,
-        });
-        self
+        self.push(GateKind::FastTwoSum, hi, lo)
     }
 
     pub fn add(&mut self, hi: usize, lo: usize) -> &mut Self {
-        self.fpan.gates.push(Gate {
-            kind: GateKind::Add,
-            hi,
-            lo,
-        });
-        self
+        self.push(GateKind::Add, hi, lo)
     }
 
     pub fn finish(mut self, outputs: Vec<usize>) -> Fpan {
@@ -328,5 +248,14 @@ mod tests {
         let (out, ok) = net.run_checked(&[2.0f64, 1.0]);
         assert!(ok);
         assert_eq!(out, vec![3.0, 0.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "FastTwoSum precondition violated")]
+    fn run_is_loud_on_bad_fast_two_sum_in_debug() {
+        let mut b = Builder::new(2);
+        b.fast_two_sum(0, 1);
+        b.finish(vec![0, 1]).run(&[1.0f64, 2.0]);
     }
 }

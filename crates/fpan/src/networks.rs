@@ -1,216 +1,108 @@
 //! The shipped accumulation networks, as data.
 //!
-//! Each builder mirrors — gate for gate — the hand-unrolled kernel in
-//! `mf-core`, and the test suite checks bitwise agreement between
-//! interpreting the network and running the kernel. This gives the
-//! verification machinery (and the annealing search) a ground-truth object
-//! to manipulate, and documents the kernels in the paper's own formalism.
+//! Each network is built from its gate table in `mf_core::gates` — the
+//! same table that generates `mf-core`'s straight-line add/mul kernels, so
+//! interpreting a network here and running the kernel are bit-identical
+//! by construction (and tested to be). This gives the verification
+//! machinery (and the annealing search) a ground-truth object to
+//! manipulate, and documents the kernels in the paper's own formalism.
 //!
-//! Input conventions:
+//! Input conventions (see `mf_core::gates`):
 //!
 //! * **Addition networks** (`add_n(n)`): inputs are interleaved
 //!   `[x0, y0, x1, y1, …]` — the initial layer of `TwoSum` gates pairs
 //!   `(x_i, y_i)` exactly as the paper's Figures 2–4.
 //! * **Multiplication networks** (`mul_n(n)`): inputs are the `n²` values
-//!   produced by the pruned expansion step (paper §4.2): exact products
-//!   `p_ij` and their `TwoProd` errors `e_ij` for `i+j <= n-2`, and plain
-//!   products `r_ij` for `i+j = n-1`, in the order documented on each
-//!   builder.
+//!   produced by the pruned expansion step (paper §4.2,
+//!   [`mul_expansion_step_generic`]): exact products `p_ij` and their
+//!   `TwoProd` errors `e_ij` for `i+j <= n-2`, and plain products `r_ij`
+//!   for `i+j = n-1`.
 
-use crate::{Builder, Fpan};
+use crate::Fpan;
+use mf_core::gates::{self, renorm_gates, GateTable, Tail};
+use mf_eft::FloatBase;
 
-/// The 2-term addition network (size 6): `AccurateDWPlusDW`.
-/// Inputs `[x0, y0, x1, y1]`, outputs 2.
-pub fn add_2() -> Fpan {
-    let mut b = Builder::new(4);
-    b.two_sum(0, 1) // (s, e)
-        .two_sum(2, 3) // (t, f)
-        .add(1, 2) // e += t
-        .fast_two_sum(0, 1)
-        .add(1, 3) // e += f
-        .fast_two_sum(0, 1);
-    b.finish(vec![0, 1])
+const ADD: [GateTable; 3] = [gates::ADD2, gates::ADD3, gates::ADD4];
+const MUL: [GateTable; 3] = [gates::MUL2, gates::MUL3, gates::MUL4];
+
+/// Interpretable network for one gate table: its gates, then (for the
+/// renormalizing networks) the renormalization sweeps as `TwoSum` gates.
+fn from_table(t: &GateTable) -> Fpan {
+    let mut net = Fpan::new(t.inputs, Vec::new());
+    net.gates = t.gates.to_vec();
+    net.outputs = match t.tail {
+        Tail::Outputs(wires) => wires.to_vec(),
+        Tail::Renorm(wires, n) => {
+            net.gates.extend(renorm_gates(wires));
+            wires[..n].to_vec()
+        }
+    };
+    net
 }
 
-/// The 3-term addition network (size 17). Inputs `[x0, y0, …, x2, y2]`.
-pub fn add_3() -> Fpan {
-    let mut b = Builder::new(6);
-    // Pairing layer.
-    b.two_sum(0, 1).two_sum(2, 3).two_sum(4, 5);
-    // Absorption.
-    b.two_sum(2, 1).two_sum(4, 3).two_sum(4, 1);
-    // Tail accumulation.
-    b.add(5, 3).add(5, 1);
-    // renorm_weak over [0, 2, 4, 5]: up, up, down, down.
-    b.two_sum(4, 5).two_sum(2, 4).two_sum(0, 2);
-    b.two_sum(4, 5).two_sum(2, 4).two_sum(0, 2);
-    b.two_sum(0, 2).two_sum(2, 4).two_sum(4, 5);
-    b.two_sum(0, 2).two_sum(2, 4).two_sum(4, 5);
-    b.finish(vec![0, 2, 4])
-}
-
-/// The 4-term addition network (size 25). Inputs `[x0, y0, …, x3, y3]`.
-pub fn add_4() -> Fpan {
-    let mut b = Builder::new(8);
-    // Pairing layer.
-    b.two_sum(0, 1).two_sum(2, 3).two_sum(4, 5).two_sum(6, 7);
-    // Triangular absorption.
-    b.two_sum(2, 1).two_sum(4, 3).two_sum(6, 5);
-    b.two_sum(4, 1).two_sum(6, 3);
-    b.two_sum(6, 1);
-    // Tail accumulation: ((e3 + t2) + u1) + v0.
-    b.add(7, 5).add(7, 3).add(7, 1);
-    // renorm_weak over [0, 2, 4, 6, 7]: up, up, down, down, down
-    // (5-wide renormalization needs the third down sweep; see
-    // mf-core::renorm and EXPERIMENTS.md E5).
-    b.two_sum(6, 7).two_sum(4, 6).two_sum(2, 4).two_sum(0, 2);
-    b.two_sum(6, 7).two_sum(4, 6).two_sum(2, 4).two_sum(0, 2);
-    b.two_sum(0, 2).two_sum(2, 4).two_sum(4, 6).two_sum(6, 7);
-    b.two_sum(0, 2).two_sum(2, 4).two_sum(4, 6).two_sum(6, 7);
-    b.two_sum(0, 2).two_sum(2, 4).two_sum(4, 6).two_sum(6, 7);
-    b.finish(vec![0, 2, 4, 6])
-}
-
-/// The 2-term multiplication accumulation network (size 3, depth 3 —
-/// matching the paper's provably optimal Figure 5).
-/// Inputs `[p00, e00, p01, p10]`.
-pub fn mul_2() -> Fpan {
-    let mut b = Builder::new(4);
-    b.add(2, 3) // cross = p01 + p10
-        .add(1, 2) // lo = e00 + cross
-        .fast_two_sum(0, 1);
-    b.finish(vec![0, 1])
-}
-
-/// The 3-term multiplication accumulation network (size 14).
-/// Inputs `[p00, q00, p01, q01, p10, q10, r02, r20, r11]`.
-pub fn mul_3() -> Fpan {
-    let mut b = Builder::new(9);
-    b.two_sum(2, 4) // (a1, b2) = TwoSum(p01, p10)
-        .two_sum(2, 1) // (s1, c2) = TwoSum(a1, q00)
-        .add(3, 5) // q01 + q10
-        .add(6, 7) // r02 + r20
-        .add(3, 6)
-        .add(3, 8) // + r11
-        .add(4, 1) // b2 + c2
-        .add(3, 4); // t2
-                    // renorm_weak over [0, 2, 3]: up, up, down, down.
-    b.two_sum(2, 3).two_sum(0, 2);
-    b.two_sum(2, 3).two_sum(0, 2);
-    b.two_sum(0, 2).two_sum(2, 3);
-    b.two_sum(0, 2).two_sum(2, 3);
-    b.finish(vec![0, 2, 3])
-}
-
-/// The 4-term multiplication accumulation network (size 29).
-/// Inputs `[p00, q00, p01, q01, p10, q10, p02, q02, p20, q20, p11, q11,
-/// r03, r30, r12, r21]`.
-pub fn mul_4() -> Fpan {
-    let mut b = Builder::new(16);
-    b.add(12, 13) // r3a = r03 + r30
-        .add(14, 15) // r3b = r12 + r21
-        .two_sum(2, 4) // (a1, b2) = TwoSum(p01, p10)
-        .two_sum(6, 8) // (a2, b3) = TwoSum(p02, p20)
-        .two_sum(3, 5) // (cq1, cq1e) = TwoSum(q01, q10)
-        .add(7, 9) // cq2 = q02 + q20
-        .two_sum(2, 1) // (s1, c2) = TwoSum(a1, q00)
-        .two_sum(6, 10) // (t2, d3a) = TwoSum(a2, p11)
-        .two_sum(6, 3) // (t2, d3b) = TwoSum(t2, cq1)
-        .two_sum(6, 4) // (t2, d3c) = TwoSum(t2, b2)
-        .two_sum(6, 1); // (t2, d3d) = TwoSum(t2, c2)
-                        // t3 = ((q11 + cq2) + (r3a + r3b)) + (((b3 + cq1e) + (d3a + d3b)) + (d3c + d3d))
-    b.add(11, 7) // q11 + cq2
-        .add(12, 14) // r3a + r3b
-        .add(11, 12)
-        .add(8, 5) // b3 + cq1e
-        .add(10, 3) // d3a + d3b
-        .add(8, 10)
-        .add(4, 1) // d3c + d3d
-        .add(8, 4)
-        .add(11, 8); // t3
-                     // renorm_weak over [0, 2, 6, 11]: up, up, down, down.
-    b.two_sum(6, 11).two_sum(2, 6).two_sum(0, 2);
-    b.two_sum(6, 11).two_sum(2, 6).two_sum(0, 2);
-    b.two_sum(0, 2).two_sum(2, 6).two_sum(6, 11);
-    b.two_sum(0, 2).two_sum(2, 6).two_sum(6, 11);
-    b.finish(vec![0, 2, 6, 11])
+/// Look up the table for `n`-term `op` networks (n in 2..=4).
+fn table(tables: &[GateTable; 3], n: usize, op: &str) -> GateTable {
+    assert!((2..=4).contains(&n), "no {op} network for n = {n}");
+    tables[n - 2]
 }
 
 /// Addition network for `n`-term expansions (n in 2..=4).
 pub fn add_n(n: usize) -> Fpan {
-    match n {
-        2 => add_2(),
-        3 => add_3(),
-        4 => add_4(),
-        _ => panic!("no addition network for n = {n}"),
-    }
+    from_table(&table(&ADD, n, "addition"))
 }
 
 /// Multiplication accumulation network for `n`-term expansions (n in 2..=4).
 pub fn mul_n(n: usize) -> Fpan {
-    match n {
-        2 => mul_2(),
-        3 => mul_3(),
-        4 => mul_4(),
-        _ => panic!("no multiplication network for n = {n}"),
-    }
+    from_table(&table(&MUL, n, "multiplication"))
+}
+
+/// The 2-term addition network: `AccurateDWPlusDW`.
+pub fn add_2() -> Fpan {
+    add_n(2)
+}
+
+/// The 3-term addition network.
+pub fn add_3() -> Fpan {
+    add_n(3)
+}
+
+/// The 4-term addition network.
+pub fn add_4() -> Fpan {
+    add_n(4)
+}
+
+/// The 2-term multiplication accumulation network (the paper's provably
+/// optimal Figure 5).
+pub fn mul_2() -> Fpan {
+    mul_n(2)
+}
+
+/// The 3-term multiplication accumulation network.
+pub fn mul_3() -> Fpan {
+    mul_n(3)
+}
+
+/// The 4-term multiplication accumulation network.
+pub fn mul_4() -> Fpan {
+    mul_n(4)
 }
 
 /// Compute the pruned expansion step for `n`-term multiplication (paper
 /// §4.2) for any base type, producing the input vector for [`mul_n`] in
-/// its documented order. Exposed for the verifier and the search.
-pub fn mul_expansion_step_generic<T: mf_eft::FloatBase>(x: &[T], y: &[T]) -> Vec<T> {
-    use mf_eft::two_prod;
-    let n = x.len();
-    assert_eq!(n, y.len());
-    match n {
-        2 => {
-            let (p00, e00) = two_prod(x[0], y[0]);
-            vec![p00, e00, x[0] * y[1], x[1] * y[0]]
-        }
-        3 => {
-            let (p00, q00) = two_prod(x[0], y[0]);
-            let (p01, q01) = two_prod(x[0], y[1]);
-            let (p10, q10) = two_prod(x[1], y[0]);
-            vec![
-                p00,
-                q00,
-                p01,
-                q01,
-                p10,
-                q10,
-                x[0] * y[2],
-                x[2] * y[0],
-                x[1] * y[1],
-            ]
-        }
-        4 => {
-            let (p00, q00) = two_prod(x[0], y[0]);
-            let (p01, q01) = two_prod(x[0], y[1]);
-            let (p10, q10) = two_prod(x[1], y[0]);
-            let (p02, q02) = two_prod(x[0], y[2]);
-            let (p20, q20) = two_prod(x[2], y[0]);
-            let (p11, q11) = two_prod(x[1], y[1]);
-            vec![
-                p00,
-                q00,
-                p01,
-                q01,
-                p10,
-                q10,
-                p02,
-                q02,
-                p20,
-                q20,
-                p11,
-                q11,
-                x[0] * y[3],
-                x[3] * y[0],
-                x[1] * y[2],
-                x[2] * y[1],
-            ]
-        }
-        _ => panic!("no expansion step for n = {n}"),
+/// its documented order (`mf_core::gates::mul_expansion`). Exposed for the
+/// verifier, the search and the fault campaigns.
+pub fn mul_expansion_step_generic<T: FloatBase>(x: &[T], y: &[T]) -> Vec<T> {
+    fn step<T: FloatBase, const N: usize, const M: usize>(x: &[T], y: &[T]) -> Vec<T> {
+        let x: &[T; N] = x.try_into().expect("length matched below");
+        let y: &[T; N] = y.try_into().expect("length matched below");
+        gates::mul_expansion::<T, N, M>(x, y).to_vec()
+    }
+    assert_eq!(x.len(), y.len());
+    match x.len() {
+        2 => step::<T, 2, 4>(x, y),
+        3 => step::<T, 3, 9>(x, y),
+        4 => step::<T, 4, 16>(x, y),
+        n => panic!("no expansion step for n = {n}"),
     }
 }
 
@@ -220,70 +112,8 @@ pub fn mul_expansion_step_generic<T: mf_eft::FloatBase>(x: &[T], y: &[T]) -> Vec
 /// operand swap. The paper notes this layer does **not** emerge from
 /// search on its own and must be imposed; [`crate::search`] freezes it.
 pub fn commutativity_layer(n: usize) -> Vec<crate::Gate> {
-    use crate::{Gate, GateKind};
-    match n {
-        2 => vec![Gate {
-            kind: GateKind::Add,
-            hi: 2,
-            lo: 3,
-        }], // p01 + p10
-        3 => vec![
-            Gate {
-                kind: GateKind::TwoSum,
-                hi: 2,
-                lo: 4,
-            }, // (p01, p10)
-            Gate {
-                kind: GateKind::Add,
-                hi: 3,
-                lo: 5,
-            }, // q01 + q10
-            Gate {
-                kind: GateKind::Add,
-                hi: 6,
-                lo: 7,
-            }, // r02 + r20
-        ],
-        4 => vec![
-            Gate {
-                kind: GateKind::TwoSum,
-                hi: 2,
-                lo: 4,
-            }, // (p01, p10)
-            Gate {
-                kind: GateKind::TwoSum,
-                hi: 6,
-                lo: 8,
-            }, // (p02, p20)
-            Gate {
-                kind: GateKind::TwoSum,
-                hi: 3,
-                lo: 5,
-            }, // (q01, q10)
-            Gate {
-                kind: GateKind::Add,
-                hi: 7,
-                lo: 9,
-            }, // q02 + q20
-            Gate {
-                kind: GateKind::Add,
-                hi: 12,
-                lo: 13,
-            }, // r03 + r30
-            Gate {
-                kind: GateKind::Add,
-                hi: 14,
-                lo: 15,
-            }, // r12 + r21
-        ],
-        _ => panic!("no commutativity layer for n = {n}"),
-    }
-}
-
-/// `f64` specialization of [`mul_expansion_step_generic`] (kept for
-/// existing callers).
-pub fn mul_expansion_step(x: &[f64], y: &[f64]) -> Vec<f64> {
-    mul_expansion_step_generic(x, y)
+    let t = table(&MUL, n, "multiplication");
+    t.gates[..t.commute].to_vec()
 }
 
 #[cfg(test)]
@@ -324,32 +154,69 @@ mod tests {
         );
     }
 
+    /// Signed zeros, subnormal tails and exact cancellations.
+    fn edge_pairs<const N: usize>() -> Vec<([f64; N], [f64; N])> {
+        let mut x = [0.0f64; N];
+        for (i, v) in x.iter_mut().enumerate() {
+            *v = if i % 2 == 0 { 1.5 } else { -1.25 } * 2.0f64.powi(-55 * i as i32);
+        }
+        let mut signed_tail = x;
+        signed_tail[N - 1] = -0.0;
+        let mut sub = [0.0f64; N];
+        sub[0] = f64::MIN_POSITIVE * 2.0f64.powi(60);
+        sub[1] = -f64::MIN_POSITIVE / 8.0; // subnormal
+        let (zero, neg_zero) = ([0.0f64; N], [-0.0f64; N]);
+        let neg = |v: [f64; N]| v.map(|c| -c);
+        vec![
+            (zero, neg_zero),
+            (neg_zero, neg_zero),
+            (neg_zero, x),
+            (signed_tail, neg(signed_tail)),
+            (x, neg(x)),
+            (neg(x), x),
+            (sub, sub),
+            (sub, neg(sub)),
+            (sub, x),
+        ]
+    }
+
+    /// Bitwise equality: unlike `==` on `f64`, `-0.0` and `+0.0` differ.
+    fn assert_same_bits(net: &[f64], kernel: &[f64], ctx: impl Fn() -> String) {
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(net), bits(kernel), "{}", ctx());
+    }
+
+    fn check_add<const N: usize>(net: &Fpan, x: [f64; N], y: [f64; N]) {
+        let inputs: Vec<f64> = (0..N).flat_map(|i| [x[i], y[i]]).collect();
+        let kernel = addition::add(&x, &y);
+        assert_same_bits(&net.run(&inputs), &kernel, || {
+            format!("n={N} x={x:?} y={y:?}")
+        });
+    }
+
+    fn check_mul<const N: usize>(net: &Fpan, x: [f64; N], y: [f64; N]) {
+        let out = net.run(&mul_expansion_step_generic(&x, &y));
+        let kernel = multiplication::mul(&x, &y);
+        assert_same_bits(&out, &kernel, || format!("n={N} x={x:?} y={y:?}"));
+    }
+
     #[test]
     fn add_networks_match_kernels_bitwise() {
         let mut rng = SmallRng::seed_from_u64(700);
         let nets = [add_2(), add_3(), add_4()];
         for _ in 0..20_000 {
-            // n = 2
-            let x = rand_expansion::<2>(&mut rng);
-            let y = rand_expansion::<2>(&mut rng);
-            let inputs = [x[0], y[0], x[1], y[1]];
-            let out = nets[0].run(&inputs);
-            let kernel = addition::add(&x, &y);
-            assert_eq!(out.as_slice(), kernel.as_slice(), "n=2 x={x:?} y={y:?}");
-            // n = 3
-            let x = rand_expansion::<3>(&mut rng);
-            let y = rand_expansion::<3>(&mut rng);
-            let inputs = [x[0], y[0], x[1], y[1], x[2], y[2]];
-            let out = nets[1].run(&inputs);
-            let kernel = addition::add(&x, &y);
-            assert_eq!(out.as_slice(), kernel.as_slice(), "n=3 x={x:?} y={y:?}");
-            // n = 4
-            let x = rand_expansion::<4>(&mut rng);
-            let y = rand_expansion::<4>(&mut rng);
-            let inputs = [x[0], y[0], x[1], y[1], x[2], y[2], x[3], y[3]];
-            let out = nets[2].run(&inputs);
-            let kernel = addition::add(&x, &y);
-            assert_eq!(out.as_slice(), kernel.as_slice(), "n=4 x={x:?} y={y:?}");
+            check_add::<2>(&nets[0], rand_expansion(&mut rng), rand_expansion(&mut rng));
+            check_add::<3>(&nets[1], rand_expansion(&mut rng), rand_expansion(&mut rng));
+            check_add::<4>(&nets[2], rand_expansion(&mut rng), rand_expansion(&mut rng));
+        }
+        for (x, y) in edge_pairs::<2>() {
+            check_add(&nets[0], x, y);
+        }
+        for (x, y) in edge_pairs::<3>() {
+            check_add(&nets[1], x, y);
+        }
+        for (x, y) in edge_pairs::<4>() {
+            check_add(&nets[2], x, y);
         }
     }
 
@@ -358,23 +225,27 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(701);
         let nets = [mul_2(), mul_3(), mul_4()];
         for _ in 0..20_000 {
-            let x = rand_expansion::<2>(&mut rng);
-            let y = rand_expansion::<2>(&mut rng);
-            let out = nets[0].run(&mul_expansion_step(&x, &y));
-            let kernel = multiplication::mul(&x, &y);
-            assert_eq!(out.as_slice(), kernel.as_slice(), "n=2 x={x:?} y={y:?}");
+            check_mul::<2>(&nets[0], rand_expansion(&mut rng), rand_expansion(&mut rng));
+            check_mul::<3>(&nets[1], rand_expansion(&mut rng), rand_expansion(&mut rng));
+            check_mul::<4>(&nets[2], rand_expansion(&mut rng), rand_expansion(&mut rng));
+        }
+        for (x, y) in edge_pairs::<2>() {
+            check_mul(&nets[0], x, y);
+        }
+        for (x, y) in edge_pairs::<3>() {
+            check_mul(&nets[1], x, y);
+        }
+        for (x, y) in edge_pairs::<4>() {
+            check_mul(&nets[2], x, y);
+        }
+    }
 
-            let x = rand_expansion::<3>(&mut rng);
-            let y = rand_expansion::<3>(&mut rng);
-            let out = nets[1].run(&mul_expansion_step(&x, &y));
-            let kernel = multiplication::mul(&x, &y);
-            assert_eq!(out.as_slice(), kernel.as_slice(), "n=3 x={x:?} y={y:?}");
-
-            let x = rand_expansion::<4>(&mut rng);
-            let y = rand_expansion::<4>(&mut rng);
-            let out = nets[2].run(&mul_expansion_step(&x, &y));
-            let kernel = multiplication::mul(&x, &y);
-            assert_eq!(out.as_slice(), kernel.as_slice(), "n=4 x={x:?} y={y:?}");
+    #[test]
+    fn commutativity_layer_is_a_prefix_of_mul_n() {
+        for n in 2..=4 {
+            let layer = commutativity_layer(n);
+            assert!(!layer.is_empty());
+            assert_eq!(&mul_n(n).gates[..layer.len()], layer.as_slice(), "n={n}");
         }
     }
 

@@ -338,7 +338,7 @@ pub fn verify_multiplication_f64(net: &Fpan, n: usize, cfg: Config) -> Report {
         let x = random_expansion::<f64>(&mut rng, n, ex);
         let ey = rng.gen_range(-30..30);
         let y = random_expansion::<f64>(&mut rng, n, ey);
-        let inputs = crate::networks::mul_expansion_step(&x, &y);
+        let inputs = crate::networks::mul_expansion_step_generic(&x, &y);
         let (outputs, precond_ok) = net.run_checked(&inputs);
         if !precond_ok {
             report.record(&inputs, ViolationKind::Precondition);
