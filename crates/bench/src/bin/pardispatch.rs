@@ -1,72 +1,25 @@
-//! Pool-vs-scoped parallel dispatch ablation (DESIGN.md §9).
+//! Parallel dispatch trend gauge (DESIGN.md §9).
 //!
 //! Measures parallel AXPY and DOT over `MultiFloat<f64, 2>` at
-//! n ∈ {128, 1024, 16384} under both dispatch executors — the persistent
-//! worker pool (`MF_BLAS_POOL=on`, the default runtime) and per-dispatch
-//! scoped spawn (`MF_BLAS_POOL=off`, PR 3's original path) — and records
-//! per-variant history kernels (`AXPY/128/mf/pool`, `AXPY/128/mf/scoped`,
-//! ...) for the trend pipeline. Small-n rows are dominated by dispatch
-//! latency, which is exactly what the pool amortizes; large-n rows check
-//! that the shared-cursor protocol costs nothing when the kernel dominates.
-//!
-//! After measuring, the two variants are compared *in-process* with the
-//! same bootstrap machinery the `trend` gate uses (scoped as baseline,
-//! pool as current): an `improvement` verdict means the pool is confidently
-//! faster at that size.
+//! n ∈ {128, 1024, 16384} on the persistent worker pool and records the
+//! history kernels `AXPY/128/mf/pool`, `DOT/16384/mf/pool`, ... for the
+//! trend pipeline. Small-n rows are dominated by dispatch latency, which is
+//! what the pool amortizes; large-n rows check that the shared-cursor
+//! protocol costs nothing when the kernel dominates.
 //!
 //! Usage:
 //!   cargo run --release -p mf-bench --bin pardispatch -- \
 //!       [--threads <n>] [--manifest <json>] [--trace <json>]
 
-use mf_bench::history::{self, HistoryRecord, KernelEntry};
+use mf_bench::history;
 use mf_bench::workloads::rand_f64s;
-use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
+use mf_bench::{cli, measure_gops_detailed, sink, RunManifest};
 use mf_blas::parallel;
 use mf_core::F64x2;
 use std::time::Instant;
 
 const USAGE: &str = "[--threads <n>] [--manifest <json>] [--trace <json>] [--profile <folded>]";
 const SIZES: [usize; 3] = [128, 1024, 16384];
-const MODES: [&str; 2] = ["scoped", "pool"];
-
-/// Gop/s samples (ops per ns) from a measurement, the same conversion
-/// `history::record_measurement` applies.
-fn gops_samples(m: &GopsMeasurement) -> Vec<f64> {
-    m.iter_ns
-        .iter()
-        .filter(|&&ns| ns > 0.0)
-        .map(|&ns| m.ops_per_iter / ns)
-        .collect()
-}
-
-/// A comparison-side kernel entry (no sketch quantiles — only the sample
-/// pool feeds the bootstrap).
-fn entry(name: &str, samples: Vec<f64>, repeats: u64) -> KernelEntry {
-    KernelEntry {
-        name: name.into(),
-        unit: "gops".into(),
-        median: history::median(&samples),
-        p50_ns: 0,
-        p90_ns: 0,
-        p99_ns: 0,
-        repeats,
-        samples,
-    }
-}
-
-/// Wrap per-mode entries in a synthetic single-record history so
-/// [`trend::analyze`] can bootstrap CIs on the pool/scoped delta.
-fn wrap(rev: &str, kernels: Vec<KernelEntry>) -> Vec<HistoryRecord> {
-    vec![HistoryRecord {
-        tool: "pardispatch".into(),
-        git_rev: rev.into(),
-        platform: "in-process".into(),
-        features: history::active_features(),
-        quick: mf_bench::quick_mode(),
-        unix_secs: 0,
-        kernels,
-    }]
-}
 
 fn main() {
     let started = Instant::now();
@@ -112,62 +65,30 @@ fn main() {
     cli::metrics_init();
 
     // Size the pool like the dispatch: MF_BLAS_THREADS wins if the caller
-    // set it, otherwise match --threads so both executors use the same
-    // worker count.
+    // set it, otherwise match --threads.
     if std::env::var("MF_BLAS_THREADS").is_err() {
         std::env::set_var("MF_BLAS_THREADS", threads.to_string());
     }
     let min_secs = if mf_bench::quick_mode() { 0.02 } else { 0.2 };
-
-    let mut scoped_entries: Vec<KernelEntry> = Vec::new();
-    let mut pool_entries: Vec<KernelEntry> = Vec::new();
 
     for &n in &SIZES {
         let alpha = F64x2::from(1.000000321);
         let x: Vec<F64x2> = rand_f64s(1, n).into_iter().map(F64x2::from).collect();
         let mut y: Vec<F64x2> = rand_f64s(2, n).into_iter().map(F64x2::from).collect();
 
-        for mode in MODES {
-            std::env::set_var("MF_BLAS_POOL", if mode == "pool" { "on" } else { "off" });
+        let m = measure_gops_detailed(n as f64, min_secs, || {
+            parallel::axpy(alpha, &x, &mut y, threads);
+            sink(y[0]);
+        });
+        history::record_measurement(&format!("AXPY/{n}/mf/pool"), &m);
+        eprintln!("AXPY n={n:>5} pool {:>9.4} Gop/s", m.gops);
 
-            let m = measure_gops_detailed(n as f64, min_secs, || {
-                parallel::axpy(alpha, &x, &mut y, threads);
-                sink(y[0]);
-            });
-            history::record_measurement(&format!("AXPY/{n}/mf/{mode}"), &m);
-            eprintln!("AXPY n={n:>5} {mode:<6} {:>9.4} Gop/s", m.gops);
-            let e = entry(&format!("AXPY/{n}"), gops_samples(&m), m.iters);
-            if mode == "pool" {
-                pool_entries.push(e);
-            } else {
-                scoped_entries.push(e);
-            }
-
-            let m = measure_gops_detailed(n as f64, min_secs, || {
-                sink(parallel::dot(&x, &y, threads));
-            });
-            history::record_measurement(&format!("DOT/{n}/mf/{mode}"), &m);
-            eprintln!("DOT  n={n:>5} {mode:<6} {:>9.4} Gop/s", m.gops);
-            let e = entry(&format!("DOT/{n}"), gops_samples(&m), m.iters);
-            if mode == "pool" {
-                pool_entries.push(e);
-            } else {
-                scoped_entries.push(e);
-            }
-        }
+        let m = measure_gops_detailed(n as f64, min_secs, || {
+            sink(parallel::dot(&x, &y, threads));
+        });
+        history::record_measurement(&format!("DOT/{n}/mf/pool"), &m);
+        eprintln!("DOT  n={n:>5} pool {:>9.4} Gop/s", m.gops);
     }
-    std::env::remove_var("MF_BLAS_POOL");
-
-    // In-process ablation verdicts: scoped is the baseline, pool the
-    // current side, so `improvement` == pool confidently faster.
-    let cfg = trend::TrendConfig::default();
-    let trends = trend::analyze(
-        &wrap("scoped", scoped_entries),
-        &wrap("pool", pool_entries),
-        &cfg,
-    );
-    println!("\nPool vs scoped dispatch ({threads} threads; positive change = pool faster)");
-    print!("{}", trend::render_table(&trends));
 
     let platform = {
         let label = history::platform_label();

@@ -541,6 +541,18 @@ mod tests {
         );
         assert_eq!(run_on_files(&base_p, &hist_p, &cfg), 0);
 
+        // A kernel only the baseline has (its path was removed, like the
+        // scoped-spawn and AVX-512 rows) is skipped, not an error -> exit 0.
+        write(
+            &base_p,
+            &[
+                rec("aaaa", "AXPY/103", 2.0),
+                rec("aaaa", "AXPY/128/mf/scoped", 0.01),
+            ],
+        );
+        assert_eq!(run_on_files(&base_p, &hist_p, &cfg), 0);
+        write(&base_p, &[rec("aaaa", "AXPY/103", 2.0)]);
+
         // A fresh kernel the baseline never measured -> exit 2 (stale
         // baseline is a data error, fixed by refreshing it).
         write(

@@ -4,7 +4,7 @@
 //! with **element-wise** arithmetic. Because the extended-precision kernels
 //! in `mf-core` are branch-free straight-line code over any `FloatBase`,
 //! instantiating them at `T = Lanes<8>` executes 8 *independent*
-//! extended-precision operations in lock-step — one AVX-512 register per
+//! extended-precision operations in lock-step — two AVX2 registers per
 //! wire. This is the paper's GPU/SIMT execution model verbatim (§5: each
 //! GPU lane runs the same FPAN on its own data), and it removes the need
 //! for the autovectorizer to discover the parallelism on its own.
@@ -12,7 +12,7 @@
 //! The lock-step DOT and AXPY bodies ([`lockstep_dot`], [`lockstep_axpy`])
 //! are written once against the [`VLane`] trait. [`Lanes`] instantiates
 //! them as the portable reference path; the intrinsic realizations in
-//! [`crate::simd`] (`V8Avx2`, `V8Avx512`, `V8Neon`) instantiate the same
+//! [`crate::simd`] (`V8Avx2`, `V8Neon`) instantiate the same
 //! bodies, so every realization runs one gate graph and one reduction
 //! structure.
 //!
@@ -247,7 +247,7 @@ impl<T: FloatBase, const L: usize> FloatBase for Lanes<T, L> {
     }
 }
 
-/// Lane width used by the lock-step kernels (one AVX-512 register of
+/// Lane width used by the lock-step kernels (two AVX2 registers of
 /// f64). Measured on this container: 8 lanes beat 4 at every expansion
 /// width for reductions, despite the register spills at N >= 3 — the
 /// spill cost is smaller than the dependency-chain stalls it buys off.
@@ -440,16 +440,6 @@ pub fn dot_lockstep_l<T: FloatBase, const N: usize, const L: usize>(
     lockstep_dot::<Lanes<T, L>, N>(xc, xoff, yc, yoff, n)
 }
 
-/// Lock-step AXPY over component slices.
-pub fn axpy_lockstep<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    xc: &[Vec<T>],
-    yc: &mut [Vec<T>],
-    n: usize,
-) {
-    axpy_lockstep_at(alpha, xc, 0, yc, 0, n)
-}
-
 /// Lock-step AXPY over component slices starting at the given offsets
 /// (used by the SoA GEMM inner loop, where x/y are matrix rows). At
 /// `T = f64` this dispatches like [`dot_lockstep`].
@@ -629,7 +619,7 @@ mod tests {
         let alpha = F64x4::from(1.000001);
         let sx = SoaVec::from_slice(&xs);
         let mut sy = SoaVec::from_slice(&ys);
-        axpy_lockstep::<f64, 4>(alpha, &sx.comps, &mut sy.comps, n);
+        axpy_lockstep_at::<f64, 4>(alpha, &sx.comps, 0, &mut sy.comps, 0, n);
         let mut y_ref = ys.clone();
         crate::kernels::axpy(alpha, &xs, &mut y_ref);
         for i in 0..n {
@@ -686,7 +676,7 @@ mod tests {
             let alpha = F64x4::from(-0.517);
             let sx = SoaVec::from_slice(&xs);
             let mut sy = SoaVec::from_slice(&ys);
-            axpy_lockstep::<f64, 4>(alpha, &sx.comps, &mut sy.comps, n);
+            axpy_lockstep_at::<f64, 4>(alpha, &sx.comps, 0, &mut sy.comps, 0, n);
             let mut y_ref = ys.clone();
             crate::kernels::axpy(alpha, &xs, &mut y_ref);
             for i in 0..n {

@@ -21,7 +21,7 @@
 //! * [`lanes`] — the one lock-step DOT body and the one lock-step AXPY
 //!   body, generic over a lane type; [`lanes::Lanes`] instantiates them as
 //!   the portable reference path;
-//! * [`simd`] — intrinsic lane types (AVX2, AVX-512, NEON) instantiating
+//! * [`simd`] — intrinsic lane types (AVX2, NEON) instantiating
 //!   the same bodies, the `MF_SIMD` selection ladder, and the one
 //!   AVX2+FMA frame macro every other kernel is dispatched through;
 //! * [`tile`] — cache-blocked GEMM over SoA matrices;
@@ -31,8 +31,7 @@
 //!   real libraries);
 //! * [`parallel`] — chunked thread-parallel wrappers and the one chunk
 //!   runner every dispatching entry point uses, running on the persistent
-//!   worker [`pool`] (or per-dispatch `std::thread::scope` when
-//!   `MF_BLAS_POOL=off`). The paper runs thread-per-core; on few-core
+//!   worker [`pool`]. The paper runs thread-per-core; on few-core
 //!   hosts the harness reports the max over serial/parallel — see
 //!   DESIGN.md T7.
 

@@ -1,9 +1,8 @@
-//! Persistent worker pool for the parallel BLAS dispatch.
+//! Persistent worker pool: the one executor of the parallel BLAS dispatch.
 //!
-//! The scoped-spawn dispatch in [`crate::parallel`] creates fresh OS
-//! threads on **every** kernel call; at small and mid vector lengths that
-//! per-dispatch thread creation dominates the kernel itself (tens of
-//! microseconds against a sub-microsecond AXPY). This module amortizes the
+//! Spawning fresh OS threads on every kernel call costs tens of
+//! microseconds, which dominates a sub-microsecond AXPY at small and mid
+//! vector lengths (EXPERIMENTS.md ablation 9). This module amortizes the
 //! scheduling cost across calls with a lazily-initialized, process-wide
 //! pool of workers that park between dispatches:
 //!
@@ -35,10 +34,6 @@
 //!   their dispatchers, which always help). The next dispatch lazily
 //!   restarts the pool.
 //!
-//! The scoped-spawn path remains selectable with `MF_BLAS_POOL=off` for
-//! A/B measurement (see the `pardispatch` bench binary and the
-//! `pool_dispatch` criterion ablation).
-//!
 //! Telemetry (feature-gated, no-ops otherwise): `pool.jobs` counts
 //! dispatches through the pool, `pool.park`/`pool.unpark` count worker
 //! sleep/wake transitions, and the `pool.queue_wait` section sketches the
@@ -65,17 +60,11 @@ static POOL_WORKERS_LIVE: Gauge = Gauge::new("pool.workers_live");
 static POOL_WORKERS_BUSY: Gauge = Gauge::new("pool.workers_busy");
 static POOL_JOBS_INFLIGHT: Gauge = Gauge::new("pool.jobs_inflight");
 
-/// Whether the pool path is selected: `MF_BLAS_POOL` unset or anything
-/// but `off`/`0` uses the pool; `off` (or `0`) restores the scoped-spawn
-/// dispatch for A/B measurement.
+/// Always `true`: the pool is the only executor. Kept because `perfbench`
+/// records it in its run fingerprint, so result files from older and newer
+/// revisions stay comparable.
 pub fn enabled() -> bool {
-    match std::env::var("MF_BLAS_POOL") {
-        Ok(v) => {
-            let v = v.trim();
-            v != "off" && v != "0"
-        }
-        Err(_) => true,
-    }
+    true
 }
 
 /// One dispatched job: a type-erased chunk runner plus the shared cursor
@@ -421,20 +410,6 @@ pub(crate) mod tests {
         assert_eq!(worker_count(), 2);
         std::env::remove_var("MF_BLAS_THREADS");
         shutdown();
-    }
-
-    #[test]
-    fn enabled_follows_env() {
-        let _env = env_lock();
-        std::env::remove_var("MF_BLAS_POOL");
-        assert!(enabled(), "pool is the default dispatch mode");
-        std::env::set_var("MF_BLAS_POOL", "off");
-        assert!(!enabled());
-        std::env::set_var("MF_BLAS_POOL", "0");
-        assert!(!enabled());
-        std::env::set_var("MF_BLAS_POOL", "on");
-        assert!(enabled());
-        std::env::remove_var("MF_BLAS_POOL");
     }
 
     /// Straggler rebalancing: with chunk-granular claiming, one slow chunk

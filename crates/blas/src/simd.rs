@@ -29,13 +29,12 @@
 //!
 //! **Selection ladder.** [`active`] resolves once per process:
 //!
-//! 1. `MF_SIMD=scalar|avx2|avx512|neon` forces a realization; forcing an
-//!    ISA the host/build cannot run is a hard panic (fail loud, never
-//!    silently measure the wrong path).
+//! 1. `MF_SIMD=scalar|avx2|neon` forces a realization; forcing an ISA
+//!    the host cannot run, or naming one that does not exist, is a hard
+//!    panic (fail loud, never silently measure the wrong path).
 //! 2. `MF_SIMD=auto` (or unset) detects: AVX2+FMA on x86-64, NEON on
-//!    aarch64, scalar otherwise. AVX-512 is deliberately *not* auto-picked
-//!    even when detected — PR 7 measured license-downclocking regressions
-//!    on wide-vector frames; it stays an explicit opt-in (DESIGN.md).
+//!    aarch64, scalar otherwise. Every realization is one that
+//!    auto-selection can pick; there is no opt-in-only ISA (DESIGN.md §12).
 //!
 //! `MF_SIMD=scalar` also disables the AVX2+FMA `#[target_feature]` frames
 //! that every other kernel enters through [`fma_frame!`] (via
@@ -50,8 +49,8 @@ use core::ops::{Add, Div, Mul, Neg, Sub};
 use mf_core::{FloatBase, MultiFloat};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Lane width of every realization: one AVX-512 register, two AVX2
-/// registers, or four NEON registers per FPAN wire. Fixed at
+/// Lane width of every realization: two AVX2 registers or four NEON
+/// registers per FPAN wire. Fixed at
 /// [`crate::lanes::SIMD_LANES`] so the reduction *structure* (and hence
 /// the computed bits) never depends on which ISA runs.
 pub const LANES: usize = crate::lanes::SIMD_LANES;
@@ -68,21 +67,17 @@ pub enum Isa {
     Scalar,
     /// x86-64 AVX2+FMA: each lane group is two `__m256d` registers.
     Avx2,
-    /// x86-64 AVX-512F: each lane group is one `__m512d` register.
-    /// Compile-probe gated (`cfg(mf_avx512)`) and opt-in only.
-    Avx512,
     /// aarch64 NEON: each lane group is four `float64x2_t` registers.
     Neon,
 }
 
 impl Isa {
-    pub const ALL: [Isa; 4] = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
+    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Avx2, Isa::Neon];
 
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
-            Isa::Avx512 => "avx512",
             Isa::Neon => "neon",
         }
     }
@@ -107,17 +102,6 @@ impl Isa {
                     false
                 }
             }
-            Isa::Avx512 => {
-                #[cfg(all(target_arch = "x86_64", mf_avx512))]
-                {
-                    std::arch::is_x86_feature_detected!("avx512f")
-                        && std::arch::is_x86_feature_detected!("fma")
-                }
-                #[cfg(not(all(target_arch = "x86_64", mf_avx512)))]
-                {
-                    false
-                }
-            }
             // NEON is part of the aarch64 baseline: always available there.
             Isa::Neon => cfg!(target_arch = "aarch64"),
         }
@@ -127,8 +111,7 @@ impl Isa {
         match self {
             Isa::Scalar => 0,
             Isa::Avx2 => 1,
-            Isa::Avx512 => 2,
-            Isa::Neon => 3,
+            Isa::Neon => 2,
         }
     }
 
@@ -143,8 +126,7 @@ impl fmt::Display for Isa {
     }
 }
 
-/// What `auto` resolves to on this host. AVX-512 is intentionally absent:
-/// it must be requested explicitly (PR 7's license-downclock finding).
+/// What `auto` resolves to on this host.
 fn detect_auto() -> Isa {
     if cfg!(target_arch = "aarch64") {
         Isa::Neon
@@ -172,7 +154,7 @@ fn resolve_from_env() -> Isa {
                 "MF_SIMD={s}: the {isa} realization is not supported on this host/build \
                  (use MF_SIMD=auto for detection)"
             ),
-            None => panic!("MF_SIMD={s}: unknown ISA (expected scalar|avx2|avx512|neon|auto)"),
+            None => panic!("MF_SIMD={s}: unknown ISA (expected scalar|avx2|neon|auto)"),
         },
     }
 }
@@ -204,14 +186,21 @@ pub fn force(isa: Isa) {
 }
 
 /// Whether the AVX2+FMA `#[target_feature]` frames of [`fma_frame!`] may
-/// be entered. True exactly when the active realization is an x86 vector
-/// ISA — so those frames' feature requirements were detected — and false
-/// under `MF_SIMD=scalar`, pinning every dispatch layer to portable
-/// codegen at once.
+/// be entered: true exactly when the active realization is AVX2 — whose
+/// `supported()` detected both features — and false under
+/// `MF_SIMD=scalar`, pinning every dispatch layer to portable codegen at
+/// once.
 #[inline]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-gated
 pub(crate) fn fma_frame_allowed() -> bool {
-    matches!(active(), Isa::Avx2 | Isa::Avx512)
+    frames_allowed(active())
+}
+
+/// The selection rule behind [`fma_frame_allowed`], pure so the tests can
+/// check it for every ISA without flipping the process-wide selection.
+#[inline]
+fn frames_allowed(isa: Isa) -> bool {
+    isa == Isa::Avx2
 }
 
 /// Define a kernel as an `#[inline(always)]` body `$body` plus a
@@ -619,120 +608,6 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx2::V8Avx2;
 
-/// AVX-512F realization: one `__m512d` per value. Compile-probe gated
-/// (`cfg(mf_avx512)`, see `build.rs`); runtime opt-in via `MF_SIMD=avx512`.
-///
-/// # Safety invariant
-///
-/// As [`V8Avx2`], with `avx512f` in place of `avx2`.
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-mod avx512 {
-    use super::{fmt, Add, Div, FloatBase, Mul, Neg, Sub, VLane, LANES};
-    use core::arch::x86_64::*;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    #[repr(C, align(64))]
-    pub(crate) struct V8Avx512(pub(crate) [f64; LANES]);
-
-    macro_rules! zmm2 {
-        ($a:expr, $b:expr, $op:ident) => {{
-            let (a, b) = ($a, $b);
-            // SAFETY: see the module-level safety invariant (avx512f+fma
-            // were detected before any value of this type was constructed).
-            unsafe {
-                let va = _mm512_loadu_pd(a.0.as_ptr());
-                let vb = _mm512_loadu_pd(b.0.as_ptr());
-                let mut out = [0.0f64; LANES];
-                _mm512_storeu_pd(out.as_mut_ptr(), $op(va, vb));
-                V8Avx512(out)
-            }
-        }};
-    }
-
-    impl V8Avx512 {
-        #[inline(always)]
-        fn v_add(self, o: Self) -> Self {
-            zmm2!(self, o, _mm512_add_pd)
-        }
-
-        #[inline(always)]
-        fn v_sub(self, o: Self) -> Self {
-            zmm2!(self, o, _mm512_sub_pd)
-        }
-
-        #[inline(always)]
-        fn v_mul(self, o: Self) -> Self {
-            zmm2!(self, o, _mm512_mul_pd)
-        }
-
-        #[inline(always)]
-        fn v_div(self, o: Self) -> Self {
-            zmm2!(self, o, _mm512_div_pd)
-        }
-
-        #[inline(always)]
-        fn v_mul_add(self, a: Self, b: Self) -> Self {
-            // SAFETY: as for `zmm2`.
-            unsafe {
-                let vs = _mm512_loadu_pd(self.0.as_ptr());
-                let va = _mm512_loadu_pd(a.0.as_ptr());
-                let vb = _mm512_loadu_pd(b.0.as_ptr());
-                let mut out = [0.0f64; LANES];
-                _mm512_storeu_pd(out.as_mut_ptr(), _mm512_fmadd_pd(vs, va, vb));
-                V8Avx512(out)
-            }
-        }
-
-        /// Sign-bit flip via the integer domain: `_mm512_xor_pd` needs
-        /// AVX-512DQ, which the frame does not enable; the `si512` xor is
-        /// plain AVX-512F and bit-equivalent.
-        #[inline(always)]
-        fn v_neg(self) -> Self {
-            // SAFETY: as for `zmm2`.
-            unsafe {
-                let v = _mm512_castpd_si512(_mm512_loadu_pd(self.0.as_ptr()));
-                let sign = _mm512_set1_epi64(i64::MIN);
-                let mut out = [0.0f64; LANES];
-                _mm512_storeu_pd(
-                    out.as_mut_ptr(),
-                    _mm512_castsi512_pd(_mm512_xor_si512(v, sign)),
-                );
-                V8Avx512(out)
-            }
-        }
-
-        #[inline(always)]
-        fn v_abs(self) -> Self {
-            // SAFETY: as for `zmm2`.
-            unsafe {
-                let v = _mm512_castpd_si512(_mm512_loadu_pd(self.0.as_ptr()));
-                let mag = _mm512_set1_epi64(i64::MAX);
-                let mut out = [0.0f64; LANES];
-                _mm512_storeu_pd(
-                    out.as_mut_ptr(),
-                    _mm512_castsi512_pd(_mm512_and_si512(v, mag)),
-                );
-                V8Avx512(out)
-            }
-        }
-
-        #[inline(always)]
-        fn v_sqrt(self) -> Self {
-            // SAFETY: as for `zmm2`.
-            unsafe {
-                let v = _mm512_loadu_pd(self.0.as_ptr());
-                let mut out = [0.0f64; LANES];
-                _mm512_storeu_pd(out.as_mut_ptr(), _mm512_sqrt_pd(v));
-                V8Avx512(out)
-            }
-        }
-    }
-
-    v8_realization!(V8Avx512);
-}
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-pub(crate) use avx512::V8Avx512;
-
 /// NEON realization: four `float64x2_t` per value. NEON is part of the
 /// aarch64 baseline, so no runtime detection or `#[target_feature]` frame
 /// is needed — the intrinsics are statically available.
@@ -887,8 +762,6 @@ macro_rules! realization_frames {
 
 #[cfg(target_arch = "x86_64")]
 realization_frames!(avx2_frames, V8Avx2, "avx2,fma");
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-realization_frames!(avx512_frames, V8Avx512, "avx512f,fma");
 #[cfg(target_arch = "aarch64")]
 realization_frames!(neon_frames, V8Neon);
 
@@ -951,9 +824,6 @@ pub(crate) fn dot_f64_at<const N: usize>(
         // SAFETY: `isa.supported()` (checked by `active()`/`force()`/the
         // caller) established avx2+fma via runtime detection.
         Isa::Avx2 => unsafe { avx2_frames::dot::<N>(xc, xoff, yc, yoff, n) },
-        #[cfg(all(target_arch = "x86_64", mf_avx512))]
-        // SAFETY: as above, with avx512f+fma.
-        Isa::Avx512 => unsafe { avx512_frames::dot::<N>(xc, xoff, yc, yoff, n) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is aarch64 baseline.
         Isa::Neon => unsafe { neon_frames::dot::<N>(xc, xoff, yc, yoff, n) },
@@ -978,9 +848,6 @@ pub(crate) fn axpy_f64_at<const N: usize>(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `dot_f64_at`.
         Isa::Avx2 => unsafe { avx2_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
-        #[cfg(all(target_arch = "x86_64", mf_avx512))]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Avx512 => unsafe { avx512_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as in `dot_f64_at`.
         Isa::Neon => unsafe { neon_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
@@ -1074,12 +941,37 @@ mod tests {
             assert_eq!(Isa::parse(isa.name()), Some(isa));
         }
         assert_eq!(Isa::parse("sse9"), None);
+        // No opt-in-only realization: `MF_SIMD` turns an unknown name
+        // into a loud panic.
+        assert_eq!(Isa::parse("avx512"), None);
         assert_eq!(
             Isa::parse("auto"),
             None,
             "auto resolves in active(), not parse()"
         );
         assert!(Isa::Scalar.supported(), "scalar runs everywhere");
+    }
+
+    /// The `avx2,fma` frames of `fma_frame!` may only be entered under a
+    /// selection whose `supported()` detected both features. Checked per
+    /// ISA through the pure rule, without touching the process-wide
+    /// selection.
+    #[test]
+    fn fma_frames_need_detected_avx2_and_fma() {
+        for isa in Isa::ALL.into_iter().filter(|&i| frames_allowed(i)) {
+            #[cfg(target_arch = "x86_64")]
+            if isa.supported() {
+                assert!(
+                    std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma"),
+                    "{isa} opens avx2,fma frames without detecting both features"
+                );
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            assert!(!isa.supported(), "{isa} opens x86 frames off x86-64");
+        }
+        assert!(!frames_allowed(Isa::Scalar), "scalar pins portable codegen");
+        assert!(!frames_allowed(Isa::Neon));
     }
 
     /// Every runnable realization must produce the same bits as the
@@ -1194,7 +1086,7 @@ mod tests {
 
         let alpha = F64x4::from(0.739);
         let mut y_lock = sy.clone();
-        crate::lanes::axpy_lockstep::<f64, 4>(alpha, &sx.comps, &mut y_lock.comps, n);
+        crate::lanes::axpy_lockstep_at::<f64, 4>(alpha, &sx.comps, 0, &mut y_lock.comps, 0, n);
         let mut y_ref = ys.clone();
         crate::kernels::axpy(alpha, &xs, &mut y_ref);
         for i in 0..n {

@@ -5,7 +5,7 @@
 //! i..i+8" are strided and the compiler often gives up on vectorizing the
 //! FPAN arithmetic across elements. Storing each *component* in its own
 //! array (SoA) makes every load unit-stride, and the branch-free FPAN
-//! kernels then run 8 elements in lock-step — one AVX-512 register per
+//! kernels then run 8 elements in lock-step — two AVX2 registers per
 //! network wire. This is the paper's central performance mechanism (§1,
 //! §5), and it is *only* available to branch-free algorithms: QD's and
 //! CAMPARY's zero-tests and magnitude merges create lane-divergent control

@@ -24,8 +24,8 @@
 //! conformance harness asserts.
 //!
 //! **Parallelism & degrade:** one pool job per C-tile through the crate's
-//! chunk runner, [`crate::parallel::run_chunks`] (pool or scoped executor,
-//! same degrade contract as every other dispatch). Each tile task computes
+//! chunk runner, [`crate::parallel::run_chunks`] (on the worker pool, same
+//! degrade contract as every other dispatch). Each tile task computes
 //! into a thread-local packed C buffer and touches the shared matrix only
 //! in its final write-back, after every scalar operation — so a panicking
 //! scalar leaves its tile of `C` untouched (the runner's output slice for
@@ -47,8 +47,8 @@ use std::time::Instant;
 
 static TILE_DISPATCHES: Counter = Counter::new("blas.tile.dispatches");
 static TILE_TILES: Counter = Counter::new("blas.tile.tiles");
-/// Latency from dispatch to each tile task starting (queue wait under the
-/// pool; spawn latency under the scoped executor).
+/// Latency from dispatch to each tile task starting (queue wait on the
+/// pool).
 static TILE_QUEUE_WAIT: Section = Section::new("blas.tile.queue_wait");
 
 /// Tile heights/widths (rows/cols of C per tile) and k-panel depth.
@@ -63,8 +63,8 @@ pub const KC: usize = 128;
 const JB: usize = 8;
 
 /// Per-component raw view of a SoA matrix's storage, allowing concurrent
-/// disjoint-tile mutation from executor threads. The executors hand out
-/// tile *indices*; distinct tile indices map to disjoint row/col rectangles
+/// disjoint-tile mutation from pool threads. The pool hands out tile
+/// *indices*; distinct tile indices map to disjoint row/col rectangles
 /// of `C`, so no two concurrently live accesses alias (same argument as
 /// `parallel::ChunkedMut`, lifted to N component arrays).
 struct SoaTiles<'a, T> {
@@ -75,7 +75,7 @@ struct SoaTiles<'a, T> {
 }
 
 // SAFETY: distinct tile indices address disjoint element rectangles (the
-// only way the pointers are used), so concurrent access from executor
+// only way the pointers are used), so concurrent access from pool
 // threads is data-race-free for any `Send` component type.
 unsafe impl<T: Send> Sync for SoaTiles<'_, T> {}
 
@@ -97,7 +97,7 @@ impl<'a, T: FloatBase> SoaTiles<'a, T> {
     ///
     /// The (row, column-range) rectangle must be in bounds and disjoint
     /// from every other live view; each tile index runs at most once per
-    /// dispatch (both executors guarantee this).
+    /// dispatch (the pool's cursor guarantees this).
     #[allow(clippy::mut_from_ref)]
     unsafe fn row_mut(&self, q: usize, i: usize, j0: usize, j1: usize) -> &'a mut [T] {
         debug_assert!(j0 <= j1 && i * self.cols + j1 <= self.len);

@@ -800,8 +800,8 @@ mod tests {
         }
 
         /// Rings of exited threads are reaped: without this, workloads
-        /// that audit from short-lived threads (per-dispatch scoped
-        /// spawns) grow the registry without bound, and the auditor's
+        /// that audit from short-lived threads (a fresh thread per task)
+        /// grow the registry without bound, and the auditor's
         /// idle sweep over the dead rings becomes a CPU thief.
         #[test]
         fn dead_thread_rings_are_reaped() {
