@@ -10,8 +10,9 @@
 //! residual `r = b − A·x`; each refinement step then recovers roughly
 //! `−log₂(cond(A)·ε)` bits until the extended residual's own precision
 //! floors out. The residual is computed with the branch-free
-//! `MultiFloat<f64, N>` arithmetic through [`mf_blas::kernels::dot`], so
-//! the whole refinement loop stays SIMD-friendly.
+//! `MultiFloat<f64, N>` arithmetic on the lock-step SIMD engine
+//! ([`mf_blas::lanes::dot_lockstep`]: eight products of a row per vector
+//! step, with bits identical under every `MF_SIMD` realization).
 //!
 //! Contents:
 //!

@@ -3,16 +3,17 @@
 //!
 //! The O(n³) factorization stays in hardware `f64`; only the O(n²)
 //! residual `r = b − A·x` is computed in `MultiFloat<f64, N>` (one
-//! branch-free extended-precision DOT per row, via
-//! [`mf_blas::kernels::dot`]). Each step solves `A d = r` from the cached
-//! factors and updates `x += d`; with an extended-precision residual the
-//! iteration converges to a forward error near working precision whenever
-//! `cond(A) · ε_f64` is comfortably below 1, instead of stalling at the
-//! condition-number floor the way an `f64` residual does.
+//! branch-free extended-precision DOT per row on the lock-step SIMD
+//! engine, [`mf_blas::lanes::dot_lockstep`]). Each step solves `A d = r`
+//! from the cached factors and updates `x += d`; with an
+//! extended-precision residual the iteration converges to a forward error
+//! near working precision whenever `cond(A) · ε_f64` is comfortably below
+//! 1, instead of stalling at the condition-number floor the way an `f64`
+//! residual does.
 
 use crate::lu::{lu_factor, LuFactors};
 use crate::{norm_inf, MatrixF64, SolveError};
-use mf_blas::kernels;
+use mf_blas::lanes;
 use mf_core::adaptive::EscalationPolicy;
 use mf_core::{MultiFloat, Rung};
 use mf_mpsoft::MpFloat;
@@ -62,23 +63,40 @@ pub struct Refinement {
 }
 
 /// Residual `r = b − A·x` with every row dot product accumulated in
-/// `MultiFloat<f64, N>`, rounded to `f64` on return.
-pub fn residual_extended<const N: usize>(a: &MatrixF64, b: &[f64], x: &[f64]) -> Vec<f64>
-where
-    MultiFloat<f64, N>: mf_blas::Scalar,
-{
-    let n = b.len();
-    let xe: Vec<MultiFloat<f64, N>> = x.iter().map(|&v| MultiFloat::from(v)).collect();
-    let mut row = vec![MultiFloat::<f64, N>::ZERO; a.cols];
-    let mut r = Vec::with_capacity(n);
-    for i in 0..n {
-        for (dst, &src) in row.iter_mut().zip(a.row(i)) {
-            *dst = MultiFloat::from(src);
-        }
-        let ax = kernels::dot(&row, &xe);
-        r.push(MultiFloat::<f64, N>::from(b[i]).sub(ax).to_f64());
-    }
-    r
+/// `MultiFloat<f64, N>` on the lock-step SIMD engine
+/// ([`lanes::dot_lockstep`], the `MF_SIMD`-selected realization), then
+/// `b_i − (A·x)_i` formed at the same width and rounded to `f64`.
+///
+/// `x` is lifted once into `N` component vectors (zero tails), and each
+/// row of `A` is copied into component 0 of one reused `N`-component
+/// buffer, so the extra memory is `O(N·cols)` — never an SoA copy of `A`.
+/// The sum order is the lock-step structure's (8 accumulator lanes, a
+/// ceil-half tree, then a serial tail), so the bits are identical under
+/// every realization.
+///
+/// # Panics
+///
+/// If `b.len() != a.rows` or `x.len() != a.cols`.
+pub fn residual_extended<const N: usize>(a: &MatrixF64, b: &[f64], x: &[f64]) -> Vec<f64> {
+    assert!(
+        a.rows == b.len() && a.cols == x.len(),
+        "residual_extended: A is {}x{} but b has {} and x has {} elements",
+        a.rows,
+        a.cols,
+        b.len(),
+        x.len()
+    );
+    let n = a.cols;
+    let mut xc = vec![vec![0.0; n]; N];
+    xc[0].copy_from_slice(x);
+    let mut row = vec![vec![0.0; n]; N];
+    (0..a.rows)
+        .map(|i| {
+            row[0].copy_from_slice(a.row(i));
+            let ax = lanes::dot_lockstep::<f64, N>(&row, 0, &xc, 0, n);
+            MultiFloat::<f64, N>::from(b[i]).sub(ax).to_f64()
+        })
+        .collect()
 }
 
 /// Solve `A x = b` by `f64` LU + mixed-precision iterative refinement with
@@ -90,10 +108,7 @@ pub fn refine_lu<const N: usize>(
     a: &MatrixF64,
     b: &[f64],
     opts: RefineOptions,
-) -> Result<Refinement, SolveError>
-where
-    MultiFloat<f64, N>: mf_blas::Scalar,
-{
+) -> Result<Refinement, SolveError> {
     let factors = lu_factor(a)?;
     refine_with_factors::<N>(a, &factors, b, opts)
 }
@@ -105,10 +120,7 @@ pub fn refine_with_factors<const N: usize>(
     factors: &LuFactors,
     b: &[f64],
     opts: RefineOptions,
-) -> Result<Refinement, SolveError>
-where
-    MultiFloat<f64, N>: mf_blas::Scalar,
-{
+) -> Result<Refinement, SolveError> {
     if a.rows != b.len() {
         return Err(SolveError::Shape(format!(
             "refine: A is {}x{} but b has {} elements",
@@ -356,6 +368,8 @@ mod tests {
     use super::*;
     use crate::{hilbert, matrix_norm_inf};
     use mf_mpsoft::MpFloat;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// Right-hand side `b = H * ones` with every entry computed through
     /// the exact MpFloat dot oracle, rounded once to `f64` — the ground
@@ -523,26 +537,138 @@ mod tests {
         );
     }
 
+    /// Every extended rung meets the conformance backward bound of a
+    /// multiply-accumulate chain, row by row against the exact oracle:
+    /// `|r_i − (b − A·x)_i| ≤ 2^(mul_bound(N) + ⌈log2(n+4)⌉ + 2) ·
+    /// (Σ_j |a_ij·x_j| + |b_i|)`, plus the final rounding to `f64` (at most
+    /// one ulp of `r_i`). The systems cancel heavily (`x` near the solution
+    /// of `A x = b`), and most orders are not a multiple of the 8 lanes.
     #[test]
     fn residual_extended_matches_oracle_rounding() {
-        let n = 9;
-        let h = hilbert(n);
-        let b = hilbert_rhs_ones(&h);
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 1e-9).collect();
-        let r4 = residual_extended::<4>(&h, &b, &x);
-        for i in 0..n {
-            let mut xs = h.row(i).to_vec();
-            xs.push(b[i]);
+        fn check<const N: usize>(mul_bound: i32, a: &MatrixF64, b: &[f64], x: &[f64]) {
+            let n = a.cols;
+            let r = residual_extended::<N>(a, b, x);
+            let chain = mul_bound + (n + 4).next_power_of_two().trailing_zeros() as i32 + 2;
+            let prec = 6000;
             let mut ys: Vec<f64> = x.iter().map(|&v| -v).collect();
             ys.push(1.0);
-            let exact = MpFloat::exact_dot(&xs, &ys).to_f64();
-            let tol = 1e-3 * exact.abs().max(1e-300);
-            assert!(
-                (r4[i] - exact).abs() <= tol,
-                "row {i}: {:-e} vs {exact:e}",
-                r4[i]
-            );
+            let abs_x: Vec<f64> = ys.iter().map(|v| v.abs()).collect();
+            for i in 0..a.rows {
+                let mut xs = a.row(i).to_vec();
+                xs.push(b[i]);
+                let exact = MpFloat::exact_dot(&xs, &ys);
+                let abs_row: Vec<f64> = xs.iter().map(|v| v.abs()).collect();
+                let mag = MpFloat::exact_dot(&abs_row, &abs_x).to_f64();
+                let err = MpFloat::from_f64(r[i], 53).sub(&exact, prec).abs().to_f64();
+                let bound = 2f64.powi(chain) * mag + 2f64.powi(-52) * r[i].abs();
+                assert!(
+                    err <= bound,
+                    "N={N} n={n} row {i}: error {err:e} above bound {bound:e} (r = {:e})",
+                    r[i]
+                );
+            }
         }
+        let mut systems = Vec::new();
+        for n in [9usize, 12] {
+            let h = hilbert(n);
+            let b = hilbert_rhs_ones(&h);
+            let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 1e-9).collect();
+            systems.push((h, b, x));
+        }
+        let mut rng = SmallRng::seed_from_u64(1500);
+        for n in [13usize, 37, 64, 67] {
+            let a = MatrixF64::from_fn(n, n, |_, _| {
+                rng.gen_range(-1.0..1.0) * 2f64.powi(rng.gen_range(-20..20))
+            });
+            let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let b: Vec<f64> = (0..n)
+                .map(|i| MpFloat::exact_dot(a.row(i), &x_true).to_f64())
+                .collect();
+            let x: Vec<f64> = x_true
+                .iter()
+                .map(|&v| v * (1.0 + rng.gen_range(-1e-12..1e-12)))
+                .collect();
+            systems.push((a, b, x));
+        }
+        for (a, b, x) in &systems {
+            check::<2>(-101, a, b, x);
+            check::<3>(-151, a, b, x);
+            check::<4>(-201, a, b, x);
+        }
+    }
+
+    /// `residual_extended` runs the `MF_SIMD`-selected realization; its
+    /// bits must equal `b_i − dot` with the dot from the portable `Lanes`
+    /// lock-step reference, at every width and at column counts covering
+    /// tail-only (1, 7), exact-chunk (8, 64) and chunk-plus-tail (9, 17)
+    /// rows. Row 0 is zero, so `r_0 == b_0` exactly; row 1 cancels
+    /// exactly, so `r_1 == 0`.
+    #[test]
+    fn residual_extended_matches_portable_lockstep_bitwise() {
+        fn check<const N: usize>(rng: &mut SmallRng) {
+            const ROWS: usize = 6;
+            for cols in [1usize, 7, 8, 9, 17, 64] {
+                // Dyadic x with few bits, so the integer row 1 dots exactly.
+                let x: Vec<f64> = (0..cols)
+                    .map(|_| rng.gen_range(-2048..2048i32) as f64 / 256.0)
+                    .collect();
+                let mut a = MatrixF64::from_fn(ROWS, cols, |i, _| match i {
+                    0 => 0.0,
+                    1 => rng.gen_range(-64..64i32) as f64,
+                    _ => rng.gen_range(-1.0..1.0) * 2f64.powi(rng.gen_range(-30..30)),
+                });
+                a.data[cols] = 1.0; // row 1 is never all zero
+                let mut b: Vec<f64> = (0..ROWS).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                b[1] = MpFloat::exact_dot(a.row(1), &x).to_f64();
+                let r = residual_extended::<N>(&a, &b, &x);
+                let mut xc = vec![vec![0.0; cols]; N];
+                xc[0].copy_from_slice(&x);
+                let mut row = vec![vec![0.0; cols]; N];
+                for i in 0..ROWS {
+                    row[0].copy_from_slice(a.row(i));
+                    let dot = lanes::dot_lockstep_l::<f64, N, { lanes::SIMD_LANES }>(
+                        &row, 0, &xc, 0, cols,
+                    );
+                    let want = MultiFloat::<f64, N>::from(b[i]).sub(dot).to_f64();
+                    assert_eq!(
+                        r[i].to_bits(),
+                        want.to_bits(),
+                        "N={N} cols={cols} row {i}: {:e} vs {want:e} (isa {})",
+                        r[i],
+                        mf_blas::simd::active()
+                    );
+                }
+                assert_eq!(
+                    r[0].to_bits(),
+                    b[0].to_bits(),
+                    "N={N} cols={cols}: zero row"
+                );
+                assert_eq!(r[1], 0.0, "N={N} cols={cols}: cancelling row");
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(1501);
+        check::<1>(&mut rng);
+        check::<2>(&mut rng);
+        check::<3>(&mut rng);
+        check::<4>(&mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "residual_extended: A is 4x4 but b has 3 and x has 4 elements")]
+    fn residual_extended_rejects_short_b() {
+        residual_extended::<2>(&hilbert(4), &[1.0; 3], &[1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "residual_extended: A is 4x4 but b has 5 and x has 4 elements")]
+    fn residual_extended_rejects_long_b() {
+        residual_extended::<2>(&hilbert(4), &[1.0; 5], &[1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "residual_extended: A is 4x4 but b has 4 and x has 3 elements")]
+    fn residual_extended_rejects_wrong_x() {
+        residual_extended::<2>(&hilbert(4), &[1.0; 4], &[1.0; 3]);
     }
 
     #[test]
