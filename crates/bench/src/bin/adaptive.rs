@@ -4,9 +4,10 @@
 //! affordable:
 //!
 //! * **Clean-input overhead** — the `Adaptive` engine's `checked_*` ops and
-//!   the per-chunk adaptive BLAS (`dot_adaptive`) vs their raw counterparts
-//!   on well-scaled inputs that never trip a detector. The ladder's promise
-//!   is that this is just the detector cost (target: within 5%).
+//!   the per-chunk adaptive BLAS (`dot_adaptive`, `axpy_adaptive`,
+//!   `gemv_adaptive`, at `MF_BLAS_THREADS` threads) vs their base kernels
+//!   on well-scaled inputs that never trip a detector. The ladder's extra
+//!   cost is the detector and judgment work.
 //! * **Escalation cost** — the same kernels on hostile inputs (transient
 //!   overflow seeded into one chunk) where the ladder must climb to the
 //!   oracle, with the observed per-run escalation rate.
@@ -21,14 +22,15 @@
 
 use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, history, measure_gops_detailed, sink, RunManifest};
-use mf_blas::adaptive::dot_adaptive;
-use mf_blas::kernels;
+use mf_blas::{adaptive, parallel, Matrix};
 use mf_core::{Adaptive, EscalationPolicy, F64x2, GuardPolicy};
 use mf_telemetry::json::Json;
 use std::time::Instant;
 
 const USAGE: &str = "[--manifest <json>] [--trace <json>]";
 const SIZES: [usize; 2] = [1024, 16384];
+/// Square GEMV orders (`n²` ops per call).
+const GEMV_SIZES: [usize; 2] = [128, 512];
 
 fn mf_vec(seed: u64, n: usize) -> Vec<F64x2> {
     rand_f64s(seed, n).into_iter().map(F64x2::from).collect()
@@ -104,38 +106,95 @@ fn main() {
         ]),
     ));
 
-    // ---- BLAS dot: raw kernel vs adaptive ladder, clean inputs ----------
-    for &n in &SIZES {
-        let x = mf_vec(1, n);
-        let y = mf_vec(2, n);
-
-        let raw = measure_gops_detailed(n as f64, min_secs, || {
-            sink(kernels::dot(&x, &y));
-        });
-        history::record_measurement(&format!("ADAPT/DOT/{n}/raw"), &raw);
-        eprintln!("DOT  n={n:>5} raw      {:>9.4} Gop/s", raw.gops);
-
+    // ---- BLAS: base kernel vs adaptive ladder, clean inputs -------------
+    // `raw` is the entry point's base rung at the same thread count: the
+    // lock-step DOT (`parallel::dot`), the element-wise AXPY
+    // (`parallel::axpy`), and the GEMV whose rows run that DOT
+    // (`parallel::gemv`). The ladder's extra cost over it is the detector
+    // and judgment work.
+    let threads = parallel::default_threads();
+    let mut clean = |kernel: &str,
+                     n: usize,
+                     ops: usize,
+                     raw: &mut dyn FnMut(),
+                     ladder: &mut dyn FnMut() -> f64| {
+        let raw = measure_gops_detailed(ops as f64, min_secs, raw);
+        history::record_measurement(&format!("ADAPT/{kernel}/{n}/raw"), &raw);
+        eprintln!("{kernel:<4} n={n:>5} raw      {:>9.4} Gop/s", raw.gops);
         let mut last_rate = 0.0;
-        let adp = measure_gops_detailed(n as f64, min_secs, || {
-            let (v, rep) = dot_adaptive(&x, &y, &policy, 1);
-            last_rate = rep.escalation_rate();
-            sink(v);
-        });
-        history::record_measurement(&format!("ADAPT/DOT/{n}/ladder"), &adp);
+        let adp = measure_gops_detailed(ops as f64, min_secs, || last_rate = ladder());
+        history::record_measurement(&format!("ADAPT/{kernel}/{n}/ladder"), &adp);
         let overhead = raw.gops / adp.gops - 1.0;
         eprintln!(
-            "DOT  n={n:>5} ladder   {:>9.4} Gop/s  (overhead {:+.2}%, escalation rate {:.4})",
+            "{kernel:<4} n={n:>5} ladder   {:>9.4} Gop/s  (overhead {:+.2}%, escalation rate {:.4})",
             adp.gops,
             overhead * 100.0,
             last_rate
         );
         escalation.push((
-            format!("dot_clean_{n}"),
+            format!("{}_clean_{n}", kernel.to_lowercase()),
             Json::Obj(vec![
                 ("rate".to_string(), Json::Num(last_rate)),
                 ("clean_overhead".to_string(), Json::Num(overhead)),
+                ("threads".to_string(), Json::u64(threads as u64)),
             ]),
         ));
+    };
+    for &n in &SIZES {
+        let x = mf_vec(1, n);
+        let mut y = mf_vec(2, n);
+        clean(
+            "DOT",
+            n,
+            n,
+            &mut || {
+                sink(parallel::dot(&x, &y, threads));
+            },
+            &mut || {
+                let (v, rep) = adaptive::dot_adaptive(&x, &y, &policy, threads);
+                sink(v);
+                rep.escalation_rate()
+            },
+        );
+        let alpha = F64x2::from(1.000000321);
+        let mut y2 = y.clone();
+        clean(
+            "AXPY",
+            n,
+            n,
+            &mut || {
+                parallel::axpy(alpha, &x, &mut y, threads);
+                sink(y[0]);
+            },
+            &mut || {
+                let rep = adaptive::axpy_adaptive(alpha, &x, &mut y2, &policy, threads);
+                sink(y2[0]);
+                rep.escalation_rate()
+            },
+        );
+    }
+    for &n in &GEMV_SIZES {
+        let a = Matrix {
+            rows: n,
+            cols: n,
+            data: mf_vec(5, n * n),
+        };
+        let x = mf_vec(6, n);
+        let mut y = vec![F64x2::ZERO; n];
+        clean(
+            "GEMV",
+            n,
+            n * n,
+            &mut || {
+                parallel::gemv(F64x2::ONE, &a, &x, F64x2::ZERO, &mut y, threads);
+                sink(y[0]);
+            },
+            &mut || {
+                let (v, rep) = adaptive::gemv_adaptive(&a, &x, &policy, threads);
+                sink(v[0]);
+                rep.escalation_rate()
+            },
+        );
     }
 
     // ---- BLAS dot: hostile inputs (one chunk of transient overflow) -----
@@ -148,15 +207,17 @@ fn main() {
         // to recover the finite value.
         let big = f64::powi(2.0, 511);
         let huge = f64::powi(2.0, 512);
+        // The three terms sit 8 apart, in one lock-step lane of the base
+        // rung, so that lane's running sum overflows.
         x[5] = F64x2::from(big);
         y[5] = F64x2::from(huge);
-        x[6] = F64x2::from(big);
-        y[6] = F64x2::from(huge);
-        x[7] = F64x2::from(huge);
-        y[7] = F64x2::from(-1.5 * big);
+        x[13] = F64x2::from(big);
+        y[13] = F64x2::from(huge);
+        x[21] = F64x2::from(huge);
+        y[21] = F64x2::from(-1.5 * big);
         let mut last_rate = 0.0;
         let adp = measure_gops_detailed(n as f64, min_secs, || {
-            let (v, rep) = dot_adaptive(&x, &y, &policy, 1);
+            let (v, rep) = adaptive::dot_adaptive(&x, &y, &policy, 1);
             last_rate = rep.escalation_rate();
             sink(v);
         });

@@ -16,7 +16,9 @@
 //! `--dump <path>` skips measurement: it runs a fixed seeded workload
 //! through the *env-selected* realization (`MF_SIMD`) across every
 //! dispatched kernel shape (dot/axpy/gemv/gemm/gemm-tiled, N ∈ {2,3,4},
-//! odd tails included) and writes the result bits as hex lines. The
+//! odd tails included; the AoS `parallel::{dot,gemv}` at threads 1 and 2
+//! and `dot_adaptive`/`gemv_adaptive` at N = 2) and writes the result bits
+//! as hex lines. The
 //! forced-ISA CI matrix `cmp`s dumps across `MF_SIMD` values: any
 //! realization-dependent bit is a hard diff, with the file as artifact.
 //!
@@ -28,10 +30,11 @@
 use mf_bench::history::{self, HistoryRecord, KernelEntry};
 use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
+use mf_blas::adaptive::{self, ADAPTIVE_CHUNK};
 use mf_blas::simd::{self, Isa};
 use mf_blas::soa::{self, SoaMatrix, SoaVec};
-use mf_blas::tile;
-use mf_core::{F64x2, MultiFloat};
+use mf_blas::{parallel, tile, Matrix};
+use mf_core::{EscalationPolicy, F64x2, MultiFloat};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -113,6 +116,56 @@ fn dump_bits(path: &str) {
     dump_n::<2>(&mut out);
     dump_n::<3>(&mut out);
     dump_n::<4>(&mut out);
+
+    // The AoS entry points that run the lock-step DOT in place.
+    fn dump_aos<const N: usize>(out: &mut String) {
+        let n = 4 * simd::LANES + 3;
+        let x = soa_from_seed::<N>(41 + N as u64, n).to_vec();
+        let y = soa_from_seed::<N>(43 + N as u64, n).to_vec();
+        let (m, k) = (5usize, 2 * simd::LANES + 1);
+        let vals = rand_f64s(47 + N as u64, m * k);
+        let a = Matrix {
+            rows: m,
+            cols: k,
+            data: vals.into_iter().map(MultiFloat::<f64, N>::from).collect(),
+        };
+        let xv = soa_from_seed::<N>(53 + N as u64, k).to_vec();
+        let y0 = soa_from_seed::<N>(59 + N as u64, m).to_vec();
+        let alpha = MultiFloat::<f64, N>::from(0.75);
+        let beta = MultiFloat::<f64, N>::from(-1.25);
+        for threads in [1usize, 2] {
+            let d = parallel::dot(&x, &y, threads);
+            dump_mf(out, &format!("par-dot/n{N}/t{threads}"), d);
+            let mut yv = y0.clone();
+            parallel::gemv(alpha, &a, &xv, beta, &mut yv, threads);
+            for (i, v) in yv.iter().enumerate() {
+                dump_mf(out, &format!("par-gemv/n{N}/t{threads}/{i}"), *v);
+            }
+        }
+    }
+    dump_aos::<2>(&mut out);
+    dump_aos::<3>(&mut out);
+    dump_aos::<4>(&mut out);
+
+    // Adaptive entry points at N = 2: several chunks, the last one short.
+    let policy = EscalationPolicy::default();
+    let n = 2 * ADAPTIVE_CHUNK + 45;
+    let x = soa_from_seed::<2>(61, n).to_vec();
+    let y = soa_from_seed::<2>(67, n).to_vec();
+    let vals = rand_f64s(71, 3 * n);
+    let a = Matrix {
+        rows: 3,
+        cols: n,
+        data: vals.into_iter().map(F64x2::from).collect(),
+    };
+    for threads in [1usize, 2] {
+        let (d, _) = adaptive::dot_adaptive(&x, &y, &policy, threads);
+        dump_mf(&mut out, &format!("dot-adaptive/t{threads}"), d);
+        let (g, _) = adaptive::gemv_adaptive(&a, &x, &policy, threads);
+        for (i, v) in g.iter().enumerate() {
+            dump_mf(&mut out, &format!("gemv-adaptive/t{threads}/{i}"), *v);
+        }
+    }
 
     // Matrix shapes with non-multiple-of-lane dims.
     let (m, k, p) = (9usize, 13, 7);

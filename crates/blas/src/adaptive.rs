@@ -3,22 +3,34 @@
 //! The scalar engine (`mf_core::adaptive`) escalates one operation at a
 //! time; at BLAS granularity that would put a ladder decision on every
 //! element. These entry points instead treat a **fixed-size chunk**
-//! ([`ADAPTIVE_CHUNK`] elements, or one matrix row for GEMV) as the
-//! escalation unit: each chunk runs the plain branch-free `N=2` kernel
-//! first, is judged by the guard layer's slice detectors
+//! ([`ADAPTIVE_CHUNK`] elements; a GEMV row counts its own element chunks)
+//! as the escalation unit: each chunk runs the plain branch-free `N=2`
+//! kernel first, is judged by the guard layer's slice detectors
 //! ([`mf_core::guard::escalated_nonfinite`] / `noncanonical` plus a chunk
 //! head-consistency bound), and is recomputed at `N=3 → N=4 → MpFloat
-//! exact` only when the judgment fails. Clean workloads therefore run at
-//! full kernel speed with one naive `f64` pass of overhead per chunk, and
-//! a single hostile chunk pays for precision without slowing its
-//! neighbours.
+//! exact` only when the judgment fails. A single hostile chunk pays for
+//! precision without slowing its neighbours.
 //!
-//! Chunk boundaries are fixed by element index — **not** by thread count —
-//! so results are bitwise identical across `threads` settings; the
-//! parallel path runs through the crate's chunk runner,
-//! [`crate::parallel::run_chunks`], and its panic degrade-to-serial
-//! contract (a panicking worker chunk is restored from its snapshot and
-//! rerun, adaptively, on the calling thread).
+//! **Base rung.** DOT (and so every GEMV row) runs the lock-step DOT over
+//! the chunk's `F64x2` slices in place ([`lanes::dot_lockstep_aos`], the
+//! `MF_SIMD`-selected realization); AXPY runs the element-wise
+//! [`kernels::axpy`] update, whose bits the lock-step AXPY also computes.
+//! The detector inputs — naive `f64` head sums, magnitudes, finiteness —
+//! are gathered in [`SIMD_LANES`] independent lane accumulators (element
+//! `i` of a chunk feeds lane `i % 8`, reduced by a fixed tree) with a
+//! branch-free finiteness fold, so the clean-input judgment costs a small
+//! fraction of the kernel instead of one serial `f64` chain per element.
+//! The clean AXPY path allocates nothing: each chunk's pre-kernel `y` is
+//! kept in a stack buffer for the rare escalation.
+//!
+//! **Threads.** Chunk boundaries are fixed by element index — **not** by
+//! thread count. The threaded paths hand each thread one range of whole
+//! chunks (GEMV: one range of rows) through the crate's chunk runner,
+//! [`crate::parallel::run_chunks`], and merge the per-chunk results in
+//! chunk order, so results are bitwise identical across `threads`
+//! settings. A panicking range is restored from its snapshot and rerun,
+//! adaptively, on the calling thread (counted in
+//! [`AdaptiveReport::degraded`]).
 //!
 //! Only the `max_rung` and `tol_bits` knobs of
 //! [`EscalationPolicy`] apply here: residency (`sticky`/`decay`) and the
@@ -32,8 +44,9 @@ use mf_mpsoft::MpFloat;
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::{trace, Counter};
 
+use crate::lanes::{self, SIMD_LANES};
 use crate::parallel::{chunk_ranges, run_chunks};
-use crate::{kernels, Matrix, Scalar};
+use crate::{kernels, Matrix};
 
 static ADAPT_CHUNKS: Counter = Counter::new("blas.adaptive.chunks");
 static ADAPT_ESCALATIONS: Counter = Counter::new("blas.adaptive.escalations");
@@ -42,10 +55,11 @@ static ADAPT_ORACLE_FALLS: Counter = Counter::new("blas.adaptive.oracle_falls");
 /// Elements per escalation unit. Fixed (never derived from the thread
 /// count) so chunk boundaries — and therefore results — are reproducible.
 /// Small enough that one hostile element escalates at most 128 elements of
-/// work; large enough that the naive `f64` judgment pass stays a few
-/// percent of the `N=2` kernel. The chunk head-consistency bound tolerates
+/// work; large enough to amortize the per-chunk judgment and dispatch.
+/// The chunk head-consistency bound tolerates
 /// `len · 2^-P` of naive-summation noise, so 128 keeps ~2^-46 of slack
-/// under the default `tol_bits = 40`.
+/// under the default `tol_bits = 40`. A multiple of [`SIMD_LANES`], so a
+/// chunk's lock-step lanes and detector lanes start at lane 0.
 pub const ADAPTIVE_CHUNK: usize = 128;
 
 /// Per-call escalation tally, merged across chunks in chunk order.
@@ -115,16 +129,48 @@ impl AdaptiveReport {
     }
 }
 
-/// Fixed-size chunk ranges over `0..len` (one empty range for `len == 0`,
-/// mirroring `chunk_ranges`' workers-iterate-it contract).
-fn fixed_chunks(len: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return vec![(0, 0)];
-    }
-    (0..len)
+/// The fixed chunks of the element range `lo..hi` (`lo` on a chunk
+/// boundary); an empty range is one empty chunk, mirroring
+/// `chunk_ranges`' workers-iterate-it contract.
+fn units(lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize)> {
+    let empty = (lo == hi).then_some((lo, hi));
+    (lo..hi)
         .step_by(ADAPTIVE_CHUNK)
-        .map(|lo| (lo, (lo + ADAPTIVE_CHUNK).min(len)))
+        .map(move |a| (a, (a + ADAPTIVE_CHUNK).min(hi)))
+        .chain(empty)
+}
+
+/// Number of escalation units in `lo..hi`.
+fn unit_count(lo: usize, hi: usize) -> u64 {
+    (hi - lo).div_ceil(ADAPTIVE_CHUNK).max(1) as u64
+}
+
+/// One element range of whole chunks per thread, split as evenly as
+/// [`chunk_ranges`] splits rows. A single range means a serial call.
+fn thread_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
+    chunk_ranges(len.div_ceil(ADAPTIVE_CHUNK), threads)
+        .into_iter()
+        .map(|(a, b)| (a * ADAPTIVE_CHUNK, (b * ADAPTIVE_CHUNK).min(len)))
         .collect()
+}
+
+/// Test-only fault injection for the degrade path: the threaded range
+/// body whose first input element sits at the armed address panics once.
+#[cfg(test)]
+static PANIC_AT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+#[inline(always)]
+fn fault_point<T>(_first: *const T) {
+    #[cfg(test)]
+    {
+        use std::sync::atomic::Ordering::SeqCst;
+        if PANIC_AT
+            .compare_exchange(_first as usize, 0, SeqCst, SeqCst)
+            .is_ok()
+        {
+            panic!("injected adaptive range fault");
+        }
+    }
 }
 
 fn widen<const N: usize>(v: F64x2) -> MultiFloat<f64, N> {
@@ -179,13 +225,157 @@ fn value_bad(inputs_finite: bool, v: &F64x2) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Lane-wise detector accumulators
+// ---------------------------------------------------------------------------
+
+/// `1` if any component of `v` is NaN or infinite, else `0`: a
+/// branch-free `!is_finite()` (exponent field all ones).
+#[inline(always)]
+fn nonfinite(v: &F64x2) -> u64 {
+    const EXP: u64 = 0x7ff0_0000_0000_0000;
+    let [a, b] = v.components();
+    u64::from(a.to_bits() & EXP == EXP) | u64::from(b.to_bits() & EXP == EXP)
+}
+
+/// Sum of [`SIMD_LANES`] lane accumulators through the fixed ceil-half
+/// tree of the lock-step reduction.
+#[inline(always)]
+fn lane_total(mut v: [f64; SIMD_LANES]) -> f64 {
+    let mut width = SIMD_LANES;
+    while width > 1 {
+        let half = width.div_ceil(2);
+        for l in 0..width / 2 {
+            v[l] += v[l + half];
+        }
+        width = half;
+    }
+    v[0]
+}
+
+/// Run `f(lane, &a[i], &b[i])` for every element of a chunk, with lane
+/// `i % SIMD_LANES`: whole lane blocks as fixed-size arrays (no bounds
+/// checks, independent lanes the compiler can keep in vector registers),
+/// then the tail.
+#[inline(always)]
+fn lanewise<A, B>(a: &[A], b: &[B], mut f: impl FnMut(usize, &A, &B)) {
+    let ((ab, at), (bb, bt)) = (a.as_chunks::<SIMD_LANES>(), b.as_chunks::<SIMD_LANES>());
+    for (ab, bb) in ab.iter().zip(bb) {
+        for l in 0..SIMD_LANES {
+            f(l, &ab[l], &bb[l]);
+        }
+    }
+    for (l, (ai, bi)) in at.iter().zip(bt).enumerate() {
+        f(l, ai, bi);
+    }
+}
+
+/// `true` if any lane flag is set.
+#[inline(always)]
+fn any(v: [u64; SIMD_LANES]) -> bool {
+    v.iter().fold(0, |m, &b| m | b) != 0
+}
+
+/// Lane-wise output judgment of an axpy chunk: whether any value is bad
+/// ([`value_bad`], exactly) and the head sum `Σ y.hi`.
+///
+/// Branch-free on the hot path: the canonical-form bound
+/// `|y.lo| <= ulp(y.hi) / 2` is one shift of `y.hi`'s exponent field
+/// whenever that field exceeds the precision (the bound is then a normal
+/// power of two). A chunk holding a head within 53 binades of the
+/// subnormal floor (or zero) is rejudged element by element through
+/// [`value_bad`] itself.
+#[derive(Default)]
+struct Judge {
+    nonfinite: [u64; SIMD_LANES],
+    noncanonical: [u64; SIMD_LANES],
+    low: [u64; SIMD_LANES],
+    head: [f64; SIMD_LANES],
+}
+
+impl Judge {
+    #[inline(always)]
+    fn add(&mut self, l: usize, v: &F64x2) {
+        const ABS: u64 = 0x7fff_ffff_ffff_ffff;
+        const P: u64 = f64::MANTISSA_DIGITS as u64;
+        let [h, t] = v.components();
+        let raw = (h.to_bits() & ABS) >> 52;
+        let bound = raw.saturating_sub(P) << 52;
+        let nf = nonfinite(v);
+        self.nonfinite[l] |= nf;
+        self.noncanonical[l] |= u64::from((t.to_bits() & ABS) > bound) & (nf ^ 1);
+        self.low[l] |= u64::from(raw <= P);
+        self.head[l] += h;
+    }
+
+    /// `(bad, head_sum)` of the judged chunk `y`, given input finiteness.
+    #[inline(always)]
+    fn finish(&self, finite: bool, y: &[F64x2]) -> (bool, f64) {
+        let bad = if any(self.low) {
+            y.iter().fold(false, |b, v| b | value_bad(finite, v))
+        } else {
+            (finite & any(self.nonfinite)) | any(self.noncanonical)
+        };
+        (bad, lane_total(self.head))
+    }
+}
+
+crate::simd::fma_frame! {
+    /// Detector inputs of one dot chunk: operand finiteness, the naive
+    /// `f64` head sum `Σ x.hi·y.hi` and its magnitude `Σ |x.hi·y.hi|`.
+    fn dot_detect / dot_detect_body [] (x: &[F64x2], y: &[F64x2]) -> (bool, f64, f64) {
+        let mut naive = [0.0f64; SIMD_LANES];
+        let mut mag = [0.0f64; SIMD_LANES];
+        let mut bad = [0u64; SIMD_LANES];
+        lanewise(x, y, |l, xi, yi| {
+            let p = xi.hi() * yi.hi();
+            naive[l] += p;
+            mag[l] += p.abs();
+            bad[l] |= nonfinite(xi) | nonfinite(yi);
+        });
+        (!any(bad), lane_total(naive), lane_total(mag))
+    }
+}
+
+crate::simd::fma_frame! {
+    /// Detector inputs of one axpy chunk before its update: finiteness of
+    /// `alpha`, `x` and the pre-kernel `y`, the naive `f64` sum
+    /// `Σ (alpha.hi·x.hi + y.hi)` and its magnitude.
+    fn axpy_detect / axpy_detect_body [] (
+        alpha: F64x2,
+        x: &[F64x2],
+        y: &[F64x2],
+    ) -> (bool, f64, f64) {
+        let a_hi = alpha.hi();
+        let mut naive = [0.0f64; SIMD_LANES];
+        let mut mag = [0.0f64; SIMD_LANES];
+        let mut bad = [nonfinite(&alpha); SIMD_LANES];
+        lanewise(x, y, |l, xi, yi| {
+            let p = a_hi * xi.hi();
+            naive[l] += p + yi.hi();
+            mag[l] += p.abs() + yi.hi().abs();
+            bad[l] |= nonfinite(xi) | nonfinite(yi);
+        });
+        (!any(bad), lane_total(naive), lane_total(mag))
+    }
+}
+
+crate::simd::fma_frame! {
+    /// The [`Judge`] of one axpy chunk's updated values.
+    fn axpy_judge / axpy_judge_body [] (finite: bool, y: &[F64x2]) -> (bool, f64) {
+        let mut judge = Judge::default();
+        lanewise(y, y, |l, yi, _| judge.add(l, yi));
+        judge.finish(finite, y)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // DOT
 // ---------------------------------------------------------------------------
 
-/// One dot chunk at one rung; `None` selects the MpFloat exact evaluation.
+/// One dot chunk at one wide rung; `None` selects the MpFloat exact
+/// evaluation.
 fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
     match rung.terms() {
-        Some(2) => kernels::dot(x, y),
         Some(3) => {
             let wx: Vec<_> = x.iter().map(|&v| widen::<3>(v)).collect();
             let wy: Vec<_> = y.iter().map(|&v| widen::<3>(v)).collect();
@@ -212,68 +402,30 @@ fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
     }
 }
 
-crate::simd::fma_frame! {
-    /// The fused base-rung pass: the same `s_mul_acc` accumulation as
-    /// [`kernels::dot`] (bitwise identical partial) with the detector inputs —
-    /// operand finiteness, naive `f64` head sum, magnitude — gathered in the
-    /// same traversal. The independent `f64` chains ride in the execution
-    /// slots the serial `F64x2` accumulation leaves idle, so the clean-input
-    /// detector cost is close to free. FMA-dispatched like the plain kernels:
-    /// the raw path the overhead gate compares against gets `vfmadd`
-    /// lowering, so the base pass must too.
-    fn dot_chunk_base / dot_chunk_base_body [] (
-        x: &[F64x2],
-        y: &[F64x2],
-    ) -> (F64x2, bool, f64, f64) {
-        let mut acc = F64x2::ZERO;
-        let mut finite = true;
-        let mut naive = 0.0f64;
-        let mut mag = 0.0f64;
-        for (xi, yi) in x.iter().zip(y) {
-            finite &= xi.is_finite() & yi.is_finite();
-            let p = xi.hi() * yi.hi();
-            naive += p;
-            mag += p.abs();
-            acc = acc.s_mul_acc(*xi, *yi);
-        }
-        (acc, finite, naive, mag)
-    }
-}
-
 /// Evaluate one dot chunk up the ladder. Returns the accepted partial and
-/// its rung.
+/// its rung. The base rung is the lock-step DOT read in place.
 fn dot_chunk(x: &[F64x2], y: &[F64x2], policy: &EscalationPolicy) -> (F64x2, Rung) {
-    let (v, finite, naive, mag) = dot_chunk_base(x, y);
-    let trip = aggregate_trip(
-        finite,
-        value_bad(finite, &v),
-        naive,
-        mag,
-        v.hi(),
-        policy.tol_bits,
-    );
-    if !trip || Rung::N2 >= policy.max_rung {
-        return (v, Rung::N2);
-    }
-    let mut rung = Rung::N3;
-    loop {
-        let v = dot_at(x, y, rung);
-        let trip = aggregate_trip(
+    let (finite, naive, mag) = dot_detect(x, y);
+    let mut rung = Rung::N2;
+    let mut v = lanes::dot_lockstep_aos(x, y);
+    while rung < policy.max_rung
+        && aggregate_trip(
             finite,
             value_bad(finite, &v),
             naive,
             mag,
             v.hi(),
             policy.tol_bits,
-        );
-        if !trip || rung >= policy.max_rung {
-            return (v, rung);
-        }
+        )
+    {
         rung = rung.next();
+        v = dot_at(x, y, rung);
     }
+    (v, rung)
 }
 
-/// Serial adaptive dot over fixed chunks, tallying into `report`.
+/// Serial adaptive dot over the fixed chunks of `x`, tallying into
+/// `report`.
 fn dot_serial(
     x: &[F64x2],
     y: &[F64x2],
@@ -281,7 +433,7 @@ fn dot_serial(
     report: &mut AdaptiveReport,
 ) -> F64x2 {
     let mut acc = F64x2::ZERO;
-    for (lo, hi) in fixed_chunks(x.len()) {
+    for (lo, hi) in units(0, x.len()) {
         let (v, rung) = dot_chunk(&x[lo..hi], &y[lo..hi], policy);
         report.tally(rung);
         acc += v;
@@ -299,9 +451,9 @@ pub fn dot_adaptive(
 ) -> (F64x2, AdaptiveReport) {
     assert_eq!(x.len(), y.len());
     let _sp = trace::span("blas.adaptive.dot", x.len() as u64);
-    let ranges = fixed_chunks(x.len());
+    let ranges = thread_ranges(x.len(), threads);
     let mut report = AdaptiveReport::default();
-    if threads <= 1 || ranges.len() == 1 {
+    if ranges.len() == 1 {
         let v = dot_serial(x, y, policy, &mut report);
         report.flush_telemetry();
         return (v, report);
@@ -310,11 +462,17 @@ pub fn dot_adaptive(
     let (partials, failed) = run_chunks("adaptive_dot", &ranges, &mut [(); 0], 0, &|ci, _| {
         let (lo, hi) = ranges[ci];
         let _t = trace::span("blas.adaptive.dot.chunk", (hi - lo) as u64);
-        dot_chunk(&x[lo..hi], &y[lo..hi], policy)
+        fault_point(x[lo..].as_ptr());
+        units(lo, hi)
+            .map(|(a, b)| dot_chunk(&x[a..b], &y[a..b], policy))
+            .collect::<Vec<_>>()
     });
-    report.degraded = failed.len() as u64;
+    report.degraded = failed
+        .iter()
+        .map(|&ci| unit_count(ranges[ci].0, ranges[ci].1))
+        .sum();
     let mut acc = F64x2::ZERO;
-    for (v, rung) in partials {
+    for (v, rung) in partials.into_iter().flatten() {
         report.tally(rung);
         acc += v;
     }
@@ -350,29 +508,6 @@ fn axpy_exact(alpha: F64x2, x: &[F64x2], snap: &[F64x2], y: &mut [F64x2]) {
     }
 }
 
-crate::simd::fma_frame! {
-    /// The fused base-rung axpy pass (FMA-dispatched like [`dot_chunk_base`]):
-    /// updates `y` in place and returns the detector inputs.
-    fn axpy_chunk_base / axpy_chunk_base_body [] (
-        alpha: F64x2,
-        x: &[F64x2],
-        y: &mut [F64x2],
-    ) -> (bool, f64, f64) {
-        let mut finite = alpha.is_finite();
-        let mut naive = 0.0f64;
-        let mut mag = 0.0f64;
-        let a_hi = alpha.hi();
-        for (yi, xi) in y.iter_mut().zip(x) {
-            finite &= xi.is_finite() & yi.is_finite();
-            let p = a_hi * xi.hi();
-            naive += p + yi.hi();
-            mag += p.abs() + yi.hi().abs();
-            *yi = yi.s_mul_acc(alpha, *xi);
-        }
-        (finite, naive, mag)
-    }
-}
-
 /// Evaluate one axpy chunk up the ladder, in place. Returns the rung.
 ///
 /// Shadow-oracle audit: one element per chunk may be drawn (probability
@@ -389,34 +524,46 @@ fn axpy_chunk(alpha: F64x2, x: &[F64x2], y: &mut [F64x2], policy: &EscalationPol
     rung
 }
 
-/// The escalation ladder of [`axpy_chunk`].
-///
-/// The base rung is fused: the update is the same `s_mul_acc` as
-/// [`kernels::axpy`] (bitwise identical), with the detector inputs gathered
-/// in the same traversal before each element is overwritten.
+/// The escalation ladder of [`axpy_chunk`]. The base rung is
+/// [`kernels::axpy_dispatched`] (the bits of [`kernels::axpy`]) between
+/// the [`axpy_detect`] and [`axpy_judge`] passes; the pre-kernel `y` lives in a stack buffer, so a
+/// clean chunk allocates nothing, and an escalated rung recomputes every
+/// element from it.
 fn axpy_chunk_run(alpha: F64x2, x: &[F64x2], y: &mut [F64x2], policy: &EscalationPolicy) -> Rung {
-    let snap = y.to_vec();
-    let (finite, naive, mag) = axpy_chunk_base(alpha, x, y);
+    let mut buf = [F64x2::ZERO; ADAPTIVE_CHUNK];
+    let snap = &mut buf[..y.len()];
+    snap.copy_from_slice(y);
+    let (finite, naive, mag) = axpy_detect(alpha, x, snap);
+    kernels::axpy_dispatched(alpha, x, y);
+    let (mut bad, mut head_sum) = axpy_judge(finite, y);
     let mut rung = Rung::N2;
-    loop {
-        let mut bad = false;
-        let mut head_sum = 0.0f64;
-        for v in y.iter() {
-            bad |= value_bad(finite, v);
-            head_sum += v.hi();
-        }
-        let trip = aggregate_trip(finite, bad, naive, mag, head_sum, policy.tol_bits);
-        if !trip || rung >= policy.max_rung {
-            return rung;
-        }
-        y.copy_from_slice(&snap);
+    while rung < policy.max_rung
+        && aggregate_trip(finite, bad, naive, mag, head_sum, policy.tol_bits)
+    {
         rung = rung.next();
         match rung.terms() {
-            Some(3) => axpy_wide::<3>(alpha, x, &snap, y),
-            Some(4) => axpy_wide::<4>(alpha, x, &snap, y),
-            _ => axpy_exact(alpha, x, &snap, y),
+            Some(3) => axpy_wide::<3>(alpha, x, snap, y),
+            Some(4) => axpy_wide::<4>(alpha, x, snap, y),
+            _ => axpy_exact(alpha, x, snap, y),
         }
+        (bad, head_sum) = axpy_judge(finite, y);
     }
+    rung
+}
+
+/// Adaptive axpy over the fixed chunks of one range (`x` and `y` start on
+/// a chunk boundary).
+fn axpy_range(
+    alpha: F64x2,
+    x: &[F64x2],
+    y: &mut [F64x2],
+    policy: &EscalationPolicy,
+) -> AdaptiveReport {
+    let mut report = AdaptiveReport::default();
+    for (lo, hi) in units(0, y.len()) {
+        report.tally(axpy_chunk(alpha, &x[lo..hi], &mut y[lo..hi], policy));
+    }
+    report
 }
 
 /// Adaptive `y <- alpha*x + y`: per-chunk escalation. Results are bitwise
@@ -430,25 +577,28 @@ pub fn axpy_adaptive(
 ) -> AdaptiveReport {
     assert_eq!(x.len(), y.len());
     let _sp = trace::span("blas.adaptive.axpy", y.len() as u64);
-    let ranges = fixed_chunks(y.len());
-    let mut report = AdaptiveReport::default();
-    if threads <= 1 || ranges.len() == 1 {
-        for &(lo, hi) in &ranges {
-            let rung = axpy_chunk(alpha, &x[lo..hi], &mut y[lo..hi], policy);
-            report.tally(rung);
-        }
+    let ranges = thread_ranges(y.len(), threads);
+    if ranges.len() == 1 {
+        let report = axpy_range(alpha, x, y, policy);
         report.flush_telemetry();
         return report;
     }
 
-    let (rungs, failed) = run_chunks("adaptive_axpy", &ranges, y, 1, &|ci, out| {
+    let (reports, failed) = run_chunks("adaptive_axpy", &ranges, y, 1, &|ci, out| {
         let (lo, hi) = ranges[ci];
         let _t = trace::span("blas.adaptive.axpy.chunk", (hi - lo) as u64);
-        axpy_chunk(alpha, &x[lo..hi], out, policy)
+        fault_point(x[lo..].as_ptr());
+        axpy_range(alpha, &x[lo..hi], out, policy)
     });
-    report.degraded = failed.len() as u64;
-    for rung in rungs {
-        report.tally(rung);
+    let mut report = AdaptiveReport {
+        degraded: failed
+            .iter()
+            .map(|&ci| unit_count(ranges[ci].0, ranges[ci].1))
+            .sum(),
+        ..AdaptiveReport::default()
+    };
+    for local in &reports {
+        report.merge(local);
     }
     report.flush_telemetry();
     report
@@ -477,28 +627,35 @@ pub fn gemv_adaptive(
     );
     let _sp = trace::span("blas.adaptive.gemv", a.rows as u64);
     let mut y = vec![F64x2::ZERO; a.rows];
-    let mut report = AdaptiveReport::default();
-    if threads <= 1 || a.rows <= 1 {
-        for (r, out) in y.iter_mut().enumerate() {
-            *out = dot_serial(a.row(r), x, policy, &mut report);
+    let rows = |lo: usize, out: &mut [F64x2]| {
+        let mut local = AdaptiveReport::default();
+        for (r, out_y) in (lo..).zip(out.iter_mut()) {
+            *out_y = dot_serial(a.row(r), x, policy, &mut local);
         }
+        local
+    };
+    let ranges = chunk_ranges(a.rows, threads);
+    if ranges.len() == 1 {
+        let report = rows(0, &mut y);
         report.flush_telemetry();
         return (y, report);
     }
 
-    let ranges = chunk_ranges(a.rows, threads);
-    let (mut reports, failed) = run_chunks("adaptive_gemv", &ranges, &mut y, 1, &|ci, out| {
+    let (reports, failed) = run_chunks("adaptive_gemv", &ranges, &mut y, 1, &|ci, out| {
         let (lo, hi) = ranges[ci];
         let _t = trace::span("blas.adaptive.gemv.chunk", (hi - lo) as u64);
-        let mut local = AdaptiveReport::default();
-        for (r, out_y) in (lo..hi).zip(out.iter_mut()) {
-            *out_y = dot_serial(a.row(r), x, policy, &mut local);
-        }
-        local
+        fault_point(a.row(lo).as_ptr());
+        rows(lo, out)
     });
-    for ci in failed {
-        reports[ci].degraded = 1;
-    }
+    // A failed range held `rows × chunks-per-row` escalation units.
+    let per_row = unit_count(0, a.cols);
+    let mut report = AdaptiveReport {
+        degraded: failed
+            .iter()
+            .map(|&ci| (ranges[ci].1 - ranges[ci].0) as u64 * per_row)
+            .sum(),
+        ..AdaptiveReport::default()
+    };
     for local in &reports {
         report.merge(local);
     }
@@ -534,6 +691,17 @@ mod tests {
         assert_eq!(rep.escalated, 0);
         let d_ser = kernels::dot(&x, &y);
         assert!((d.to_f64() - d_ser.to_f64()).abs() <= 1e-25);
+        // The base rung is the lock-step DOT per chunk, summed in chunk
+        // order: bitwise the portable `Lanes` instantiation.
+        let mut want = F64x2::ZERO;
+        for lo in (0..n).step_by(ADAPTIVE_CHUNK) {
+            let hi = (lo + ADAPTIVE_CHUNK).min(n);
+            want += lanes::dot_lockstep_aos_l::<f64, 2, SIMD_LANES>(&x[lo..hi], &y[lo..hi]);
+        }
+        assert_eq!(
+            d.components().map(f64::to_bits),
+            want.components().map(f64::to_bits)
+        );
 
         let alpha = F64x2::from(1.5);
         let mut y_ad = y.clone();
@@ -546,39 +714,102 @@ mod tests {
         }
     }
 
+    /// Every entry point gives the same bits (and the same tally) at
+    /// threads {1, 2, 3, 8}, at lengths that are not a multiple of the
+    /// chunk — so the last range of whole chunks ends short.
     #[test]
     fn results_are_bitwise_identical_across_thread_counts() {
         let mut rng = SmallRng::seed_from_u64(0xADA2);
-        let n = 450;
+        let bits = |v: &F64x2| v.components().map(f64::to_bits);
+        for n in [1usize, 127, 129, 450, 1000] {
+            let x = rand_vec(&mut rng, n);
+            let y = rand_vec(&mut rng, n);
+            let (d1, r1) = dot_adaptive(&x, &y, &policy(), 1);
+            let alpha = F64x2::from(-0.75);
+            let mut y1 = y.clone();
+            let a1 = axpy_adaptive(alpha, &x, &mut y1, &policy(), 1);
+            for threads in [2usize, 3, 8] {
+                let (dt, rt) = dot_adaptive(&x, &y, &policy(), threads);
+                assert_eq!(bits(&dt), bits(&d1), "dot n={n} t={threads}");
+                assert_eq!(rt, r1, "dot n={n} t={threads}");
+                let mut yt = y.clone();
+                let at = axpy_adaptive(alpha, &x, &mut yt, &policy(), threads);
+                assert_eq!(at, a1, "axpy n={n} t={threads}");
+                for i in 0..n {
+                    assert_eq!(bits(&yt[i]), bits(&y1[i]), "axpy n={n} t={threads} i={i}");
+                }
+            }
+        }
+
+        // Rows of 300 elements: three chunks each, the last one short.
+        let (rows, cols) = (19, 300);
+        let a = Matrix::from_fn(rows, cols, |i, j| {
+            F64x2::from((i * cols + j) as f64 * 0.01 - 2.0)
+        });
+        let xv = rand_vec(&mut rng, cols);
+        let (g1, r1) = gemv_adaptive(&a, &xv, &policy(), 1);
+        assert_eq!(r1.chunks, (rows * 3) as u64);
+        for threads in [2usize, 3, 8] {
+            let (gt, rt) = gemv_adaptive(&a, &xv, &policy(), threads);
+            assert_eq!(rt, r1, "gemv t={threads}");
+            for i in 0..rows {
+                assert_eq!(bits(&gt[i]), bits(&g1[i]), "gemv t={threads} i={i}");
+            }
+        }
+    }
+
+    /// The degrade path: a threaded range that panics is restored and
+    /// rerun on the calling thread, with bits identical to the clean run,
+    /// and `degraded` counts the escalation units the range held.
+    #[test]
+    fn panicking_range_is_rerun_and_counts_its_units() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let arm = |first: *const F64x2| PANIC_AT.store(first as usize, SeqCst);
+        let fired = || PANIC_AT.load(SeqCst) == 0;
+        let bits = |v: &F64x2| v.components().map(f64::to_bits);
+        let mut rng = SmallRng::seed_from_u64(0xADA5);
+        // 1000 elements = 8 chunks; two threads take chunks 0..4 and 4..8,
+        // so the second range (elements 512..1000) holds 4 units.
+        let n = 1000;
         let x = rand_vec(&mut rng, n);
         let y = rand_vec(&mut rng, n);
-        let (d1, r1) = dot_adaptive(&x, &y, &policy(), 1);
-        for threads in [2usize, 4, 7] {
-            let (dt, rt) = dot_adaptive(&x, &y, &policy(), threads);
-            assert_eq!(dt.components(), d1.components(), "t={threads}");
-            assert_eq!(rt.chunks, r1.chunks);
-        }
 
-        let alpha = F64x2::from(-0.75);
-        let mut y1 = y.clone();
-        axpy_adaptive(alpha, &x, &mut y1, &policy(), 1);
-        for threads in [2usize, 4] {
-            let mut yt = y.clone();
-            axpy_adaptive(alpha, &x, &mut yt, &policy(), threads);
-            for i in 0..n {
-                assert_eq!(yt[i].components(), y1[i].components(), "t={threads} i={i}");
-            }
-        }
+        let (d_clean, r_clean) = dot_adaptive(&x, &y, &policy(), 2);
+        arm(x[512..].as_ptr());
+        let (d, r) = dot_adaptive(&x, &y, &policy(), 2);
+        assert!(fired(), "dot: the injected fault never ran");
+        assert_eq!(bits(&d), bits(&d_clean));
+        assert_eq!(r.degraded, 4);
+        assert_eq!(AdaptiveReport { degraded: 0, ..r }, r_clean);
 
-        let a = Matrix::from_fn(19, 23, |i, j| F64x2::from((i * 23 + j) as f64 * 0.01 - 2.0));
-        let xv = rand_vec(&mut rng, 23);
-        let (g1, _) = gemv_adaptive(&a, &xv, &policy(), 1);
-        for threads in [2usize, 5] {
-            let (gt, _) = gemv_adaptive(&a, &xv, &policy(), threads);
-            for i in 0..19 {
-                assert_eq!(gt[i].components(), g1[i].components(), "t={threads} i={i}");
-            }
+        let alpha = F64x2::from(1.25);
+        let mut y_clean = y.clone();
+        let r_clean = axpy_adaptive(alpha, &x, &mut y_clean, &policy(), 2);
+        let mut y_deg = y.clone();
+        arm(x[512..].as_ptr());
+        let r = axpy_adaptive(alpha, &x, &mut y_deg, &policy(), 2);
+        assert!(fired(), "axpy: the injected fault never ran");
+        for i in 0..n {
+            assert_eq!(bits(&y_deg[i]), bits(&y_clean[i]), "axpy i={i}");
         }
+        assert_eq!(r.degraded, 4);
+        assert_eq!(AdaptiveReport { degraded: 0, ..r }, r_clean);
+
+        // 10 rows of 300 elements (3 units each) over two threads: the
+        // second range holds rows 5..10, 15 units.
+        let a = Matrix::from_fn(10, 300, |i, j| {
+            F64x2::from((i * 300 + j) as f64 * 0.003 - 1.0)
+        });
+        let xv = rand_vec(&mut rng, 300);
+        let (g_clean, r_clean) = gemv_adaptive(&a, &xv, &policy(), 2);
+        arm(a.row(5).as_ptr());
+        let (g, r) = gemv_adaptive(&a, &xv, &policy(), 2);
+        assert!(fired(), "gemv: the injected fault never ran");
+        for i in 0..10 {
+            assert_eq!(bits(&g[i]), bits(&g_clean[i]), "gemv row {i}");
+        }
+        assert_eq!(r.degraded, 15);
+        assert_eq!(AdaptiveReport { degraded: 0, ..r }, r_clean);
     }
 
     /// Transient overflow inside one chunk's accumulation: the plain kernel
@@ -592,17 +823,17 @@ mod tests {
         let mut y = rand_vec(&mut rng, n);
         // Chunk 1 accumulates 2^1023 + 2^1023 (inf) before the -1.5·2^1023
         // term could have brought it back in range: exact sum is 2^1022.
+        // The three terms sit 8 apart, so they share one lock-step lane
+        // and that lane's running sum overflows.
         let big = 2.0f64.powi(512);
-        x[150] = F64x2::from_scalar(big);
-        y[150] = F64x2::from_scalar(big / 2.0);
-        x[151] = F64x2::from_scalar(big);
-        y[151] = F64x2::from_scalar(big / 2.0);
-        x[152] = F64x2::from_scalar(-1.5 * big);
-        y[152] = F64x2::from_scalar(big / 2.0);
+        for (i, xv) in [(150, big), (158, big), (166, -1.5 * big)] {
+            x[i] = F64x2::from_scalar(xv);
+            y[i] = F64x2::from_scalar(big / 2.0);
+        }
 
         assert!(
-            !kernels::dot(&x, &y).is_finite(),
-            "plain kernel must collapse for this test to be meaningful"
+            !lanes::dot_lockstep_aos(&x[128..256], &y[128..256]).is_finite(),
+            "the base rung must collapse for this test to be meaningful"
         );
         for threads in [1usize, 3] {
             let (d, rep) = dot_adaptive(&x, &y, &policy(), threads);
@@ -648,23 +879,28 @@ mod tests {
         let rows = 8;
         let cols = 40;
         let big = 2.0f64.powi(512);
+        // Same transient-overflow pattern as the dot test, in one lane.
+        let hostile = |j: usize| j.is_multiple_of(8) && j < 24;
         let a = Matrix::from_fn(rows, cols, |i, j| {
-            if i == 3 && j < 3 {
-                // Same transient-overflow pattern as the dot test.
-                F64x2::from_scalar([big, big, -1.5 * big][j])
+            if i == 3 && hostile(j) {
+                F64x2::from_scalar([big, big, -1.5 * big][j / 8])
             } else {
                 F64x2::from((i + j) as f64 * 0.01 + 0.1)
             }
         });
         let x: Vec<F64x2> = (0..cols)
             .map(|j| {
-                if j < 3 {
+                if hostile(j) {
                     F64x2::from_scalar(big / 2.0)
                 } else {
                     F64x2::from(0.5)
                 }
             })
             .collect();
+        assert!(
+            !lanes::dot_lockstep_aos(a.row(3), &x).is_finite(),
+            "the base rung must collapse for this test to be meaningful"
+        );
 
         for threads in [1usize, 4] {
             let (yv, rep) = gemv_adaptive(&a, &x, &policy(), threads);

@@ -66,10 +66,15 @@ crate::simd::fma_frame! {
 /// re-running the reduction.
 pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
     let acc = dot_dispatched(x, y);
+    audit_dot(x, y);
+    acc
+}
+
+/// The audit draw of [`dot`], shared with the `parallel` DOT chunks.
+pub(crate) fn audit_dot<S: Scalar>(x: &[S], y: &[S]) {
     if let Some(j) = audit::should_sample_index(x.len()) {
         crate::audit_submit(OpClass::Dot, x[j], y[j], S::s_zero(), x[j].s_mul(y[j]));
     }
-    acc
 }
 
 crate::simd::fma_frame! {

@@ -287,12 +287,35 @@ pub(crate) trait VLane: FloatBase {
         out[..take].copy_from_slice(&self.lanes()[..take]);
     }
 
+    /// Array-of-structs block load: lane `l` of vector `k` is component
+    /// `k` of `src[l]`, zero past `src.len()` (`<= WIDTH`), as
+    /// [`VLane::load`] pads. Realizations may override it with a register
+    /// transpose; every override must produce these lanes exactly.
+    #[inline(always)]
+    fn load_aos<const N: usize>(src: &[MultiFloat<Self::Elem, N>]) -> [Self; N] {
+        gather_aos(src)
+    }
+
     #[inline(always)]
     fn splat(e: Self::Elem) -> Self {
         let mut v = Self::ZERO;
         v.lanes_mut().fill(e);
         v
     }
+}
+
+/// The lane-by-lane [`VLane::load_aos`]: the portable definition every
+/// transposing override must reproduce.
+#[inline(always)]
+pub(crate) fn gather_aos<V: VLane, const N: usize>(src: &[MultiFloat<V::Elem, N>]) -> [V; N] {
+    let mut v = [V::ZERO; N];
+    for (l, e) in src.iter().enumerate().take(V::WIDTH) {
+        let c = e.components();
+        for k in 0..N {
+            v[k].lanes_mut()[l] = c[k];
+        }
+    }
+    v
 }
 
 impl<T: FloatBase, const L: usize> VLane for Lanes<T, L> {
@@ -310,28 +333,120 @@ impl<T: FloatBase, const L: usize> VLane for Lanes<T, L> {
     }
 }
 
-/// Lock-step DOT body over component slices: `WIDTH` elements per step
-/// through the generic mul/add FPANs at `T = V`, a ceil-half tree
-/// reduction over the accumulator lanes, then a scalar tail. The
-/// reduction structure fixes the bits; only the realization of the lane
-/// arithmetic varies with `V`.
+/// Where a lock-step body reads its `N`-component operands. Every layout
+/// maps element `i` of a block to lane `i % WIDTH`, so the layout is a
+/// parameter of the load only: the FPAN graph, the lane structure and
+/// therefore the bits are the same for SoA and AoS operands.
+pub(crate) trait Operand<E: FloatBase, const N: usize> {
+    /// Components of elements `i..i + len` (`len <= V::WIDTH`) as `N` lane
+    /// vectors, zero-padded past `len` like [`VLane::load`].
+    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N];
+
+    /// Components of element `i`.
+    fn at(&self, i: usize) -> [E; N];
+}
+
+/// An operand a lock-step body also writes back.
+pub(crate) trait OperandMut<E: FloatBase, const N: usize>: Operand<E, N> {
+    /// Write the first `len` lanes of `s` to elements `i..i + len`.
+    fn store<V: VLane<Elem = E>>(&mut self, i: usize, len: usize, s: &[V; N]);
+}
+
+/// Structure-of-arrays operand: one slice per component.
+pub(crate) struct Soa<'a, E, const N: usize>([&'a [E]; N]);
+
+impl<'a, E: FloatBase, const N: usize> Soa<'a, E, N> {
+    /// Elements `off..off + n` of the component vectors `comps`.
+    #[inline(always)]
+    pub(crate) fn new(comps: &'a [Vec<E>], off: usize, n: usize) -> Self {
+        Soa(core::array::from_fn(|k| &comps[k][off..off + n]))
+    }
+}
+
+impl<E: FloatBase, const N: usize> Operand<E, N> for Soa<'_, E, N> {
+    #[inline(always)]
+    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N] {
+        core::array::from_fn(|k| V::load(&self.0[k][i..i + len]))
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize) -> [E; N] {
+        core::array::from_fn(|k| self.0[k][i])
+    }
+}
+
+/// Mutable structure-of-arrays operand.
+pub(crate) struct SoaMut<'a, E, const N: usize>([&'a mut [E]; N]);
+
+impl<'a, E: FloatBase, const N: usize> SoaMut<'a, E, N> {
+    /// Elements `off..off + n` of the component vectors `comps`.
+    #[inline(always)]
+    pub(crate) fn new(comps: &'a mut [Vec<E>], off: usize, n: usize) -> Self {
+        let mut it = comps.iter_mut();
+        SoaMut(core::array::from_fn(|_| {
+            &mut it.next().expect("N component vectors")[off..off + n]
+        }))
+    }
+}
+
+impl<E: FloatBase, const N: usize> Operand<E, N> for SoaMut<'_, E, N> {
+    #[inline(always)]
+    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N] {
+        Soa(self.0.each_ref().map(|c| &**c)).block(i, len)
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize) -> [E; N] {
+        Soa(self.0.each_ref().map(|c| &**c)).at(i)
+    }
+}
+
+impl<E: FloatBase, const N: usize> OperandMut<E, N> for SoaMut<'_, E, N> {
+    #[inline(always)]
+    fn store<V: VLane<Elem = E>>(&mut self, i: usize, len: usize, s: &[V; N]) {
+        for k in 0..N {
+            s[k].store(&mut self.0[k][i..i + len]);
+        }
+    }
+}
+
+/// Array-of-structs operand, read in place: a block load gathers the `N`
+/// components of `len` consecutive elements into `N` lane vectors
+/// ([`VLane::load_aos`]).
+impl<E: FloatBase, const N: usize> Operand<E, N> for [MultiFloat<E, N>] {
+    #[inline(always)]
+    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N] {
+        V::load_aos(&self[i..i + len])
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize) -> [E; N] {
+        self[i].components()
+    }
+}
+
+/// The one lock-step DOT body: `WIDTH` elements per step through the
+/// generic mul/add FPANs at `T = V`, a ceil-half tree reduction over the
+/// accumulator lanes, then a scalar tail. The reduction structure fixes
+/// the bits; only the realization of the lane arithmetic varies with `V`,
+/// and only the block load varies with the operand layout.
 #[inline(always)]
-pub(crate) fn lockstep_dot<V: VLane, const N: usize>(
-    xc: &[Vec<V::Elem>],
-    xoff: usize,
-    yc: &[Vec<V::Elem>],
-    yoff: usize,
+pub(crate) fn lockstep_dot<V, X, Y, const N: usize>(
+    x: &X,
+    y: &Y,
     n: usize,
-) -> MultiFloat<V::Elem, N> {
+) -> MultiFloat<V::Elem, N>
+where
+    V: VLane,
+    X: Operand<V::Elem, N> + ?Sized,
+    Y: Operand<V::Elem, N> + ?Sized,
+{
     let w = V::WIDTH;
-    let xs: [&[V::Elem]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
-    let ys: [&[V::Elem]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
     let mut acc = [V::ZERO; N];
     let chunks = n / w;
     for c in 0..chunks {
-        let block = c * w..(c + 1) * w;
-        let xi: [V; N] = core::array::from_fn(|k| V::load(&xs[k][block.clone()]));
-        let yi: [V; N] = core::array::from_fn(|k| V::load(&ys[k][block.clone()]));
+        let xi: [V; N] = x.block(c * w, w);
+        let yi: [V; N] = y.block(c * w, w);
         acc = addition::add(&acc, &multiplication::mul(&xi, &yi));
     }
     // Reduce the lanes in place: lane l absorbs lane l + ceil(width/2),
@@ -355,56 +470,37 @@ pub(crate) fn lockstep_dot<V: VLane, const N: usize>(
     // stays serial to keep the bits of the lane structure.
     let mut total = lane(&acc, 0);
     for i in chunks * w..n {
-        let xi: [V::Elem; N] = core::array::from_fn(|k| xs[k][i]);
-        let yi: [V::Elem; N] = core::array::from_fn(|k| ys[k][i]);
-        total = addition::add(&total, &multiplication::mul(&xi, &yi));
+        total = addition::add(&total, &multiplication::mul(&x.at(i), &y.at(i)));
     }
     MultiFloat::from_components(total)
 }
 
-/// One lock-step AXPY step over `len <= WIDTH` elements at the given
-/// offsets (masked when `len < WIDTH`).
+/// The one lock-step AXPY body. AXPY is element-wise, so — unlike the
+/// reduction — the tail shorter than `WIDTH` also rides the vector lanes
+/// through the masked block load and [`OperandMut::store`]: each real lane
+/// computes the bits of the scalar loop, padding lanes are zero in and
+/// discarded out.
 #[inline(always)]
-fn axpy_step<V: VLane, const N: usize>(
-    av: &[V; N],
-    xc: &[Vec<V::Elem>],
-    xo: usize,
-    yc: &mut [Vec<V::Elem>],
-    yo: usize,
-    len: usize,
-) {
-    let xi: [V; N] = core::array::from_fn(|k| V::load(&xc[k][xo..xo + len]));
-    let yi: [V; N] = core::array::from_fn(|k| V::load(&yc[k][yo..yo + len]));
-    let s = addition::add(&multiplication::mul(av, &xi), &yi);
-    for k in 0..N {
-        s[k].store(&mut yc[k][yo..yo + len]);
-    }
-}
-
-/// Lock-step AXPY body over component slices. AXPY is element-wise, so —
-/// unlike the reduction — the tail shorter than `WIDTH` also rides the
-/// vector lanes through the masked [`VLane::load`]/[`VLane::store`] pair:
-/// each real lane computes the bits of the scalar loop, padding lanes are
-/// zero in and discarded out.
-#[inline(always)]
-pub(crate) fn lockstep_axpy<V: VLane, const N: usize>(
+pub(crate) fn lockstep_axpy<V, X, Y, const N: usize>(
     alpha: MultiFloat<V::Elem, N>,
-    xc: &[Vec<V::Elem>],
-    xoff: usize,
-    yc: &mut [Vec<V::Elem>],
-    yoff: usize,
+    x: &X,
+    y: &mut Y,
     n: usize,
-) {
+) where
+    V: VLane,
+    X: Operand<V::Elem, N> + ?Sized,
+    Y: OperandMut<V::Elem, N> + ?Sized,
+{
     let w = V::WIDTH;
     let a = alpha.components();
     let av: [V; N] = core::array::from_fn(|k| V::splat(a[k]));
-    let chunks = n / w;
-    for c in 0..chunks {
-        axpy_step(&av, xc, xoff + c * w, yc, yoff + c * w, w);
-    }
-    let done = chunks * w;
-    if done < n {
-        axpy_step(&av, xc, xoff + done, yc, yoff + done, n - done);
+    let mut i = 0;
+    while i < n {
+        let len = w.min(n - i);
+        let xi: [V; N] = x.block(i, len);
+        let yi: [V; N] = y.block(i, len);
+        y.store(i, len, &addition::add(&multiplication::mul(&av, &xi), &yi));
+        i += len;
     }
 }
 
@@ -421,10 +517,11 @@ pub fn dot_lockstep<T: FloatBase, const N: usize>(
     yoff: usize,
     n: usize,
 ) -> MultiFloat<T, N> {
-    if let Some(r) = crate::simd::try_dot_f64::<T, N>(xc, xoff, yc, yoff, n) {
+    let (x, y) = (Soa::new(xc, xoff, n), Soa::new(yc, yoff, n));
+    if let Some(r) = crate::simd::try_dot_f64::<T, _, _, N>(&x, &y, n) {
         return r;
     }
-    dot_lockstep_l::<T, N, SIMD_LANES>(xc, xoff, yc, yoff, n)
+    lockstep_dot::<Lanes<T, SIMD_LANES>, _, _, N>(&x, &y, n)
 }
 
 /// Lock-step DOT at an explicit lane count: the portable [`Lanes`]
@@ -437,7 +534,33 @@ pub fn dot_lockstep_l<T: FloatBase, const N: usize, const L: usize>(
     yoff: usize,
     n: usize,
 ) -> MultiFloat<T, N> {
-    lockstep_dot::<Lanes<T, L>, N>(xc, xoff, yc, yoff, n)
+    lockstep_dot::<Lanes<T, L>, _, _, N>(&Soa::new(xc, xoff, n), &Soa::new(yc, yoff, n), n)
+}
+
+/// Lock-step DOT over array-of-structs slices, read in place: the same
+/// body, lane structure and bits as [`dot_lockstep`] over the SoA copy of
+/// `x` and `y`. Dispatches like [`dot_lockstep`].
+pub fn dot_lockstep_aos<T: FloatBase, const N: usize>(
+    x: &[MultiFloat<T, N>],
+    y: &[MultiFloat<T, N>],
+) -> MultiFloat<T, N> {
+    assert_eq!(x.len(), y.len());
+    if let Some(r) = crate::simd::try_dot_f64::<T, _, _, N>(x, y, x.len()) {
+        return r;
+    }
+    lockstep_dot::<Lanes<T, SIMD_LANES>, _, _, N>(x, y, x.len())
+}
+
+/// [`dot_lockstep_aos`] at an explicit lane count through the portable
+/// [`Lanes`] instantiation: the bitwise reference for the AoS entry
+/// points that run the lock-step DOT (`parallel::{dot, gemv}`, the
+/// adaptive base rung).
+pub fn dot_lockstep_aos_l<T: FloatBase, const N: usize, const L: usize>(
+    x: &[MultiFloat<T, N>],
+    y: &[MultiFloat<T, N>],
+) -> MultiFloat<T, N> {
+    assert_eq!(x.len(), y.len());
+    lockstep_dot::<Lanes<T, L>, _, _, N>(x, y, x.len())
 }
 
 /// Lock-step AXPY over component slices starting at the given offsets
@@ -451,10 +574,12 @@ pub fn axpy_lockstep_at<T: FloatBase, const N: usize>(
     yoff: usize,
     n: usize,
 ) {
-    if crate::simd::try_axpy_f64::<T, N>(alpha, xc, xoff, yc, yoff, n) {
+    let x = Soa::new(xc, xoff, n);
+    let mut y = SoaMut::new(yc, yoff, n);
+    if crate::simd::try_axpy_f64::<T, N>(alpha, &x, &mut y, n) {
         return;
     }
-    lockstep_axpy::<Lanes<T, SIMD_LANES>, N>(alpha, xc, xoff, yc, yoff, n)
+    lockstep_axpy::<Lanes<T, SIMD_LANES>, _, _, N>(alpha, &x, &mut y, n)
 }
 
 #[cfg(test)]
@@ -578,6 +703,42 @@ mod tests {
         // Power-of-two widths keep their old (already correct) behaviour.
         check::<4>();
         check::<8>();
+    }
+
+    /// The layout is a parameter of the load only: the AoS lock-step DOT
+    /// read in place gives the SoA lock-step DOT's bits, dispatched and
+    /// portable, at every N and at lengths around the lane width.
+    #[test]
+    fn aos_lockstep_dot_matches_soa_bitwise() {
+        fn check<const N: usize>(rng: &mut SmallRng) {
+            for n in [0usize, 1, 7, 8, 9, 17, 129] {
+                let mk = |rng: &mut SmallRng| -> Vec<MultiFloat<f64, N>> {
+                    (0..n)
+                        .map(|_| {
+                            MultiFloat::from(rng.gen_range(-1.0..1.0f64))
+                                .mul(MultiFloat::from(1.0 + rng.gen_range(-1e-9..1e-9f64)))
+                        })
+                        .collect()
+                };
+                let (xs, ys) = (mk(rng), mk(rng));
+                let (sx, sy) = (SoaVec::from_slice(&xs), SoaVec::from_slice(&ys));
+                let bits = |v: MultiFloat<f64, N>| v.components().map(f64::to_bits);
+                let soa = dot_lockstep::<f64, N>(&sx.comps, 0, &sy.comps, 0, n);
+                let soa_l = dot_lockstep_l::<f64, N, SIMD_LANES>(&sx.comps, 0, &sy.comps, 0, n);
+                assert_eq!(bits(soa), bits(soa_l), "N={N} n={n} soa");
+                assert_eq!(bits(dot_lockstep_aos(&xs, &ys)), bits(soa), "N={N} n={n}");
+                assert_eq!(
+                    bits(dot_lockstep_aos_l::<f64, N, SIMD_LANES>(&xs, &ys)),
+                    bits(soa),
+                    "N={N} n={n} portable"
+                );
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(1706);
+        check::<1>(&mut rng);
+        check::<2>(&mut rng);
+        check::<3>(&mut rng);
+        check::<4>(&mut rng);
     }
 
     /// `PartialOrd` must agree with the derived all-lanes `PartialEq`:

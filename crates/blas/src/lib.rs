@@ -19,8 +19,10 @@
 //!   *cannot* be written this way, which is the source of the
 //!   order-of-magnitude gap);
 //! * [`lanes`] — the one lock-step DOT body and the one lock-step AXPY
-//!   body, generic over a lane type; [`lanes::Lanes`] instantiates them as
-//!   the portable reference path;
+//!   body, generic over a lane type and over the operand layout (SoA
+//!   component slices, or AoS `MultiFloat` slices read in place, which is
+//!   how `parallel::{dot, gemv}` and the adaptive base rung run them);
+//!   [`lanes::Lanes`] instantiates them as the portable reference path;
 //! * [`simd`] — intrinsic lane types (AVX2, NEON) instantiating
 //!   the same bodies, the `MF_SIMD` selection ladder, and the one
 //!   AVX2+FMA frame macro every other kernel is dispatched through;
@@ -67,6 +69,15 @@ pub trait Scalar: Copy + Send + Sync + Default + 'static {
     #[inline(always)]
     fn s_mul_acc(self, a: Self, b: Self) -> Self {
         self.s_add(a.s_mul(b))
+    }
+    /// Chunk body of the `parallel` DOT and GEMV entry points: `x · y`
+    /// without audit sampling. The default is the identical-strategy AoS
+    /// kernel ([`kernels::dot_dispatched`]); `MultiFloat<f64, N>` overrides
+    /// it with the lock-step DOT read in place
+    /// ([`lanes::dot_lockstep_aos`]).
+    #[inline(always)]
+    fn s_dot_chunk(x: &[Self], y: &[Self]) -> Self {
+        kernels::dot_dispatched(x, y)
     }
     /// Plain-data widening for the shadow-oracle audit sampler:
     /// `(terms, precision bits, components losslessly widened to f64)`.
@@ -139,6 +150,14 @@ impl<T: FloatBase, const N: usize> Scalar for MultiFloat<T, N> {
     #[inline(always)]
     fn s_is_zero(self) -> bool {
         self.is_zero()
+    }
+    /// The lock-step DOT at `T = f64`; other base types keep the AoS
+    /// kernel.
+    #[inline(always)]
+    fn s_dot_chunk(x: &[Self], y: &[Self]) -> Self {
+        assert_eq!(x.len(), y.len());
+        simd::try_dot_f64::<T, _, _, N>(x, y, x.len())
+            .unwrap_or_else(|| kernels::dot_dispatched(x, y))
     }
     #[inline(always)]
     fn s_audit_parts(self) -> Option<(u8, u16, [f64; 4])> {

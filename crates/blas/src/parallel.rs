@@ -259,12 +259,21 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S], threads: usize) {
     });
 }
 
-/// Parallel dot product (per-chunk partials, then a serial reduce in chunk
-/// order).
+/// One DOT chunk: the type's [`Scalar::s_dot_chunk`] body plus the audit
+/// draw of [`kernels::dot`].
+fn dot_chunk<S: Scalar>(x: &[S], y: &[S]) -> S {
+    let acc = S::s_dot_chunk(x, y);
+    kernels::audit_dot(x, y);
+    acc
+}
+
+/// Parallel dot product: per-chunk partials through
+/// [`Scalar::s_dot_chunk`] (the lock-step DOT for `MultiFloat<f64, N>`),
+/// then a serial reduce in chunk order.
 pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
     assert_eq!(x.len(), y.len());
     if threads <= 1 {
-        return kernels::dot(x, y);
+        return dot_chunk(x, y);
     }
     let ranges = chunk_ranges(x.len(), threads);
     record_dispatch(&ranges);
@@ -272,13 +281,41 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
     let (partials, _) = run_chunks("dot", &ranges, &mut [(); 0], 0, &|ci, _| {
         let (lo, hi) = ranges[ci];
         let _t = trace::span("par.dot.chunk", (hi - lo) as u64);
-        kernels::dot(&x[lo..hi], &y[lo..hi])
+        dot_chunk(&x[lo..hi], &y[lo..hi])
     });
     partials.into_iter().fold(S::s_zero(), S::s_add)
 }
 
-/// Parallel GEMV: rows are divided among threads; each chunk runs the
-/// serial kernel's dispatched row-range body.
+crate::simd::fma_frame! {
+    /// GEMV over the row block `lo..lo + y.len()`, each row's dot through
+    /// [`Scalar::s_dot_chunk`]: `y[r] <- alpha * A[lo + r] · x + beta * y[r]`,
+    /// with `beta == 0` overwriting as in [`kernels::gemv`]. The body of
+    /// both the serial and the threaded [`gemv`], so a row's bits never
+    /// depend on the thread count.
+    fn gemv_rows / gemv_rows_body [S: Scalar] (
+        alpha: S,
+        a: &Matrix<S>,
+        x: &[S],
+        beta: S,
+        y: &mut [S],
+        lo: usize,
+    ) {
+        if beta.s_is_zero() {
+            for (r, yi) in (lo..).zip(y.iter_mut()) {
+                *yi = alpha.s_mul(S::s_dot_chunk(a.row(r), x));
+            }
+        } else {
+            for (r, yi) in (lo..).zip(y.iter_mut()) {
+                let acc = S::s_dot_chunk(a.row(r), x);
+                *yi = beta.s_mul(*yi).s_add(alpha.s_mul(acc));
+            }
+        }
+    }
+}
+
+/// Parallel GEMV: rows are divided among threads; serial and threaded
+/// calls run the same row-range body (`gemv_rows`), so the result is
+/// bitwise identical at every thread count.
 pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], threads: usize) {
     assert_eq!(
         a.cols,
@@ -297,7 +334,7 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
         y.len()
     );
     if threads <= 1 {
-        return kernels::gemv(alpha, a, x, beta, y);
+        return gemv_rows(alpha, a, x, beta, y, 0);
     }
     let ranges = chunk_ranges(a.rows, threads);
     record_dispatch(&ranges);
@@ -305,7 +342,7 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
     run_chunks("gemv", &ranges, y, 1, &|ci, out| {
         let (lo, hi) = ranges[ci];
         let _t = trace::span("par.gemv.chunk", (hi - lo) as u64);
-        kernels::gemv_rows(alpha, a, x, beta, out, lo)
+        gemv_rows(alpha, a, x, beta, out, lo)
     });
 }
 
@@ -430,19 +467,66 @@ mod tests {
                 assert_eq!(c_par.data[i].components(), c_ser.data[i].components());
             }
         }
-        // gemv
-        let x: Vec<F64x2> = (0..k)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let y0: Vec<F64x2> = (0..m)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let mut y_ser = y0.clone();
-        kernels::gemv(alpha, &a, &x, beta, &mut y_ser);
-        let mut y_par = y0.clone();
-        gemv(alpha, &a, &x, beta, &mut y_par, 3);
-        for i in 0..m {
-            assert_eq!(y_par[i].components(), y_ser[i].components());
+    }
+
+    /// GEMV rows run the lock-step DOT at every thread count: bitwise the
+    /// portable `Lanes` instantiation of the AoS body, for `beta != 0` and
+    /// the `beta == 0` overwrite, at row lengths around the lane width.
+    #[test]
+    fn parallel_gemv_is_lockstep_at_every_thread_count() {
+        use crate::lanes::{dot_lockstep_aos_l, SIMD_LANES};
+        let mut rng = SmallRng::seed_from_u64(932);
+        let bits = |v: &F64x2| v.components().map(f64::to_bits);
+        for k in [1usize, 7, 8, 9, 17, 129] {
+            let m = 13;
+            let a = Matrix::from_fn(m, k, |_, _| F64x2::from(rng.gen_range(-1.0..1.0f64)));
+            let x: Vec<F64x2> = (0..k)
+                .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
+                .collect();
+            let y0: Vec<F64x2> = (0..m)
+                .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
+                .collect();
+            let alpha = F64x2::from(0.75);
+            for beta in [F64x2::from(-1.25), F64x2::ZERO] {
+                let want: Vec<F64x2> = (0..m)
+                    .map(|i| {
+                        let d = alpha * dot_lockstep_aos_l::<f64, 2, SIMD_LANES>(a.row(i), &x);
+                        if beta.is_zero() {
+                            d
+                        } else {
+                            beta * y0[i] + d
+                        }
+                    })
+                    .collect();
+                for threads in [1usize, 2, 3, 8] {
+                    let mut y = y0.clone();
+                    gemv(alpha, &a, &x, beta, &mut y, threads);
+                    for i in 0..m {
+                        assert_eq!(bits(&y[i]), bits(&want[i]), "k={k} t={threads} i={i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Serial `dot` is the lock-step DOT, bitwise.
+    #[test]
+    fn serial_dot_is_lockstep() {
+        let mut rng = SmallRng::seed_from_u64(933);
+        for n in [0usize, 1, 7, 8, 9, 17, 129] {
+            let x: Vec<F64x2> = (0..n)
+                .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
+                .collect();
+            let y: Vec<F64x2> = (0..n)
+                .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
+                .collect();
+            let want =
+                crate::lanes::dot_lockstep_aos_l::<f64, 2, { crate::lanes::SIMD_LANES }>(&x, &y);
+            assert_eq!(
+                dot(&x, &y, 1).components().map(f64::to_bits),
+                want.components().map(f64::to_bits),
+                "n={n}"
+            );
         }
     }
 

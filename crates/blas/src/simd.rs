@@ -42,7 +42,7 @@
 //! codegen — that is what makes the forced-ISA CI matrix a like-for-like
 //! bit comparison.
 
-use crate::lanes::{lockstep_axpy, lockstep_dot, Lanes, VLane};
+use crate::lanes::{lockstep_axpy, lockstep_dot, Lanes, Operand, OperandMut, Soa, SoaMut, VLane};
 use core::any::TypeId;
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
@@ -478,6 +478,11 @@ macro_rules! v8_realization {
             fn lanes_mut(&mut self) -> &mut [f64] {
                 &mut self.0
             }
+
+            #[inline(always)]
+            fn load_aos<const N: usize>(src: &[MultiFloat<f64, N>]) -> [Self; N] {
+                $T::v_load_aos(src)
+            }
         }
     };
 }
@@ -493,7 +498,7 @@ macro_rules! v8_realization {
 /// type is `pub(crate)` so no outside code can break the invariant.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{fmt, Add, Div, FloatBase, Mul, Neg, Sub, VLane, LANES};
+    use super::{fmt, Add, Div, FloatBase, Mul, MultiFloat, Neg, Sub, VLane, LANES};
     use core::arch::x86_64::*;
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -589,6 +594,56 @@ mod avx2 {
             }
         }
 
+        /// AoS block load. Full blocks at `N = 2` and `N = 4` transpose in
+        /// registers: four elements per `__m256d` half, unpack pairs of
+        /// loads, then a cross-lane permute. Every other shape (tails,
+        /// `N = 1, 3`) takes the lane-by-lane gather. Both produce the
+        /// lanes of [`crate::lanes::gather_aos`] exactly.
+        #[inline(always)]
+        fn v_load_aos<const N: usize>(src: &[MultiFloat<f64, N>]) -> [Self; N] {
+            if src.len() != LANES || (N != 2 && N != 4) {
+                return crate::lanes::gather_aos(src);
+            }
+            let mut v = [V8Avx2([0.0; LANES]); N];
+            // `MultiFloat` is `repr(transparent)` over `[f64; N]`, so the
+            // block is `LANES * N` contiguous f64, element-major.
+            let p = src.as_ptr() as *const f64;
+            // SAFETY: as for `lanewise2`; every load reads inside the
+            // `LANES * N` values of `src`, every store inside one `[f64; 8]`.
+            unsafe {
+                for h in 0..2 {
+                    let o = 4 * h;
+                    if N == 2 {
+                        // [a0 b0 a1 b1] [a2 b2 a3 b3] -> [a0 a1 a2 a3] [b0 b1 b2 b3]
+                        let m0 = _mm256_loadu_pd(p.add(2 * o));
+                        let m1 = _mm256_loadu_pd(p.add(2 * o + 4));
+                        let a = _mm256_permute4x64_pd(_mm256_unpacklo_pd(m0, m1), 0b11_01_10_00);
+                        let b = _mm256_permute4x64_pd(_mm256_unpackhi_pd(m0, m1), 0b11_01_10_00);
+                        _mm256_storeu_pd(v[0].0.as_mut_ptr().add(o), a);
+                        _mm256_storeu_pd(v[1].0.as_mut_ptr().add(o), b);
+                    } else {
+                        // 4x4 transpose of elements o..o+4.
+                        let e: [__m256d; 4] =
+                            core::array::from_fn(|j| _mm256_loadu_pd(p.add(4 * (o + j))));
+                        let t0 = _mm256_unpacklo_pd(e[0], e[1]);
+                        let t1 = _mm256_unpackhi_pd(e[0], e[1]);
+                        let t2 = _mm256_unpacklo_pd(e[2], e[3]);
+                        let t3 = _mm256_unpackhi_pd(e[2], e[3]);
+                        let c = [
+                            _mm256_permute2f128_pd(t0, t2, 0x20),
+                            _mm256_permute2f128_pd(t1, t3, 0x20),
+                            _mm256_permute2f128_pd(t0, t2, 0x31),
+                            _mm256_permute2f128_pd(t1, t3, 0x31),
+                        ];
+                        for k in 0..4 {
+                            _mm256_storeu_pd(v[k].0.as_mut_ptr().add(o), c[k]);
+                        }
+                    }
+                }
+            }
+            v
+        }
+
         #[inline(always)]
         fn v_sqrt(self) -> Self {
             // SAFETY: as for `lanewise2`.
@@ -613,7 +668,7 @@ pub(crate) use avx2::V8Avx2;
 /// is needed — the intrinsics are statically available.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{fmt, Add, Div, FloatBase, Mul, Neg, Sub, VLane, LANES};
+    use super::{fmt, Add, Div, FloatBase, Mul, MultiFloat, Neg, Sub, VLane, LANES};
     use core::arch::aarch64::*;
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -707,6 +762,11 @@ mod neon {
         fn v_sqrt(self) -> Self {
             neon1!(self, vsqrtq_f64)
         }
+
+        #[inline(always)]
+        fn v_load_aos<const N: usize>(src: &[MultiFloat<f64, N>]) -> [Self; N] {
+            crate::lanes::gather_aos(src)
+        }
     }
 
     v8_realization!(V8Neon);
@@ -721,7 +781,9 @@ pub(crate) use neon::V8Neon;
 /// Instantiate [`lockstep_dot`] and [`lockstep_axpy`] at one realization,
 /// inside the `#[target_feature]` frame that turns its `v_*` intrinsic
 /// calls into bare instructions (and lets LLVM keep the plain-array
-/// storage in registers across the inlined network bodies).
+/// storage in registers across the inlined network bodies). The frames
+/// stay generic over the operand layout, so SoA and AoS operands enter the
+/// same instantiation.
 macro_rules! realization_frames {
     ($m:ident, $V:ty $(, $feat:literal)?) => {
         mod $m {
@@ -732,29 +794,28 @@ macro_rules! realization_frames {
             /// Caller must ensure the frame's CPU features are present
             /// (NEON needs none: it is aarch64 baseline).
             $(#[target_feature(enable = $feat)])?
-            pub(super) unsafe fn dot<const N: usize>(
-                xc: &[Vec<f64>],
-                xoff: usize,
-                yc: &[Vec<f64>],
-                yoff: usize,
-                n: usize,
-            ) -> MultiFloat<f64, N> {
-                lockstep_dot::<$V, N>(xc, xoff, yc, yoff, n)
+            pub(super) unsafe fn dot<X, Y, const N: usize>(x: &X, y: &Y, n: usize) -> MultiFloat<f64, N>
+            where
+                X: Operand<f64, N> + ?Sized,
+                Y: Operand<f64, N> + ?Sized,
+            {
+                lockstep_dot::<$V, X, Y, N>(x, y, n)
             }
 
             /// # Safety
             ///
             /// As for `dot`.
             $(#[target_feature(enable = $feat)])?
-            pub(super) unsafe fn axpy<const N: usize>(
+            pub(super) unsafe fn axpy<X, Y, const N: usize>(
                 alpha: MultiFloat<f64, N>,
-                xc: &[Vec<f64>],
-                xoff: usize,
-                yc: &mut [Vec<f64>],
-                yoff: usize,
+                x: &X,
+                y: &mut Y,
                 n: usize,
-            ) {
-                lockstep_axpy::<$V, N>(alpha, xc, xoff, yc, yoff, n)
+            ) where
+                X: Operand<f64, N> + ?Sized,
+                Y: OperandMut<f64, N> + ?Sized,
+            {
+                lockstep_axpy::<$V, X, Y, N>(alpha, x, y, n)
             }
         }
     };
@@ -774,21 +835,33 @@ fn is_f64<T: 'static>() -> bool {
     TypeId::of::<T>() == TypeId::of::<f64>()
 }
 
-/// Reinterpret `&[Vec<T>]` as `&[Vec<f64>]`. Caller must have checked
-/// [`is_f64::<T>()`].
-#[inline(always)]
-fn comps_as_f64<T: FloatBase>(c: &[Vec<T>]) -> &[Vec<f64>] {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: `T` and `f64` are the same monomorphic type (TypeId equality
-    // of two `'static` types), so this is the identity reinterpretation.
-    unsafe { &*(c as *const [Vec<T>] as *const [Vec<f64>]) }
+/// An operand over base type `T`, viewed as the same operand over `f64`
+/// once [`is_f64::<T>()`] has established that the two are one type.
+pub(crate) trait AtF64 {
+    type View: ?Sized;
+
+    /// # Safety
+    ///
+    /// The operand's base type must be `f64` (checked by the caller).
+    unsafe fn at_f64(&self) -> &Self::View;
 }
 
-#[inline(always)]
-fn comps_as_f64_mut<T: FloatBase>(c: &mut [Vec<T>]) -> &mut [Vec<f64>] {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: as for `comps_as_f64`.
-    unsafe { &mut *(c as *mut [Vec<T>] as *mut [Vec<f64>]) }
+// SAFETY (both impls): with `T == f64` the source and view are the same
+// monomorphic type, so each cast is the identity reinterpretation.
+impl<'a, T: FloatBase, const N: usize> AtF64 for Soa<'a, T, N> {
+    type View = Soa<'a, f64, N>;
+    unsafe fn at_f64(&self) -> &Self::View {
+        debug_assert!(is_f64::<T>());
+        &*(self as *const Self as *const Self::View)
+    }
+}
+
+impl<T: FloatBase, const N: usize> AtF64 for [MultiFloat<T, N>] {
+    type View = [MultiFloat<f64, N>];
+    unsafe fn at_f64(&self) -> &Self::View {
+        debug_assert!(is_f64::<T>());
+        &*(self as *const Self as *const Self::View)
+    }
 }
 
 #[inline(always)]
@@ -809,96 +882,102 @@ fn mf_from_f64<T: FloatBase, const N: usize>(v: MultiFloat<f64, N>) -> MultiFloa
 /// Run the DOT body at an explicit realization (test/bench hook: the
 /// forced-ISA bit-identity tests call each supported realization directly
 /// without flipping the process-global selection).
-pub(crate) fn dot_f64_at<const N: usize>(
+pub(crate) fn dot_f64_at<X, Y, const N: usize>(
     isa: Isa,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
+    x: &X,
+    y: &Y,
     n: usize,
-) -> MultiFloat<f64, N> {
+) -> MultiFloat<f64, N>
+where
+    X: Operand<f64, N> + ?Sized,
+    Y: Operand<f64, N> + ?Sized,
+{
     debug_assert!(isa.supported());
     match isa {
-        Isa::Scalar => lockstep_dot::<Lanes<f64, LANES>, N>(xc, xoff, yc, yoff, n),
+        Isa::Scalar => lockstep_dot::<Lanes<f64, LANES>, X, Y, N>(x, y, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa.supported()` (checked by `active()`/`force()`/the
         // caller) established avx2+fma via runtime detection.
-        Isa::Avx2 => unsafe { avx2_frames::dot::<N>(xc, xoff, yc, yoff, n) },
+        Isa::Avx2 => unsafe { avx2_frames::dot::<X, Y, N>(x, y, n) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is aarch64 baseline.
-        Isa::Neon => unsafe { neon_frames::dot::<N>(xc, xoff, yc, yoff, n) },
+        Isa::Neon => unsafe { neon_frames::dot::<X, Y, N>(x, y, n) },
         #[allow(unreachable_patterns)]
         other => unreachable!("dot_f64_at: {other} not compiled into this build"),
     }
 }
 
 /// Run the AXPY body at an explicit realization (test/bench hook).
-pub(crate) fn axpy_f64_at<const N: usize>(
+pub(crate) fn axpy_f64_at<X, Y, const N: usize>(
     isa: Isa,
     alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
+    x: &X,
+    y: &mut Y,
     n: usize,
-) {
+) where
+    X: Operand<f64, N> + ?Sized,
+    Y: OperandMut<f64, N> + ?Sized,
+{
     debug_assert!(isa.supported());
     match isa {
-        Isa::Scalar => lockstep_axpy::<Lanes<f64, LANES>, N>(alpha, xc, xoff, yc, yoff, n),
+        Isa::Scalar => lockstep_axpy::<Lanes<f64, LANES>, X, Y, N>(alpha, x, y, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `dot_f64_at`.
-        Isa::Avx2 => unsafe { avx2_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
+        Isa::Avx2 => unsafe { avx2_frames::axpy::<X, Y, N>(alpha, x, y, n) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as in `dot_f64_at`.
-        Isa::Neon => unsafe { neon_frames::axpy::<N>(alpha, xc, xoff, yc, yoff, n) },
+        Isa::Neon => unsafe { neon_frames::axpy::<X, Y, N>(alpha, x, y, n) },
         #[allow(unreachable_patterns)]
         other => unreachable!("axpy_f64_at: {other} not compiled into this build"),
     }
 }
 
-/// f64 specialization of `lanes::dot_lockstep`: `Some(result)` when `T`
-/// is `f64` (the intrinsic backend applies), `None` otherwise (caller
-/// falls back to the generic portable path). Under `Isa::Scalar` this
-/// still goes through the cast layer and the portable body — identical
-/// bits to the fallback, but it keeps the whole dispatch surface (TypeId
-/// check, slice reinterpretation) exercised under Miri.
+/// f64 specialization of the lock-step DOT entry points, for either
+/// operand layout: `Some(result)` when `T` is `f64` (the intrinsic
+/// backend applies), `None` otherwise (caller falls back to the generic
+/// portable path). Under `Isa::Scalar` this still goes through the cast
+/// layer and the portable body — identical bits to the fallback, but it
+/// keeps the whole dispatch surface (TypeId check, operand
+/// reinterpretation) exercised under Miri.
 #[inline]
-pub(crate) fn try_dot_f64<T: FloatBase, const N: usize>(
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &[Vec<T>],
-    yoff: usize,
+pub(crate) fn try_dot_f64<T, X, Y, const N: usize>(
+    x: &X,
+    y: &Y,
     n: usize,
-) -> Option<MultiFloat<T, N>> {
+) -> Option<MultiFloat<T, N>>
+where
+    T: FloatBase,
+    X: AtF64 + ?Sized,
+    Y: AtF64 + ?Sized,
+    X::View: Operand<f64, N>,
+    Y::View: Operand<f64, N>,
+{
     if !is_f64::<T>() {
         return None;
     }
-    let r = dot_f64_at::<N>(active(), comps_as_f64(xc), xoff, comps_as_f64(yc), yoff, n);
+    // SAFETY: `T == f64` was just checked.
+    let r = unsafe { dot_f64_at::<X::View, Y::View, N>(active(), x.at_f64(), y.at_f64(), n) };
     Some(mf_from_f64(r))
 }
 
-/// f64 specialization of `lanes::axpy_lockstep_at`: `true` when handled.
+/// f64 specialization of the SoA lock-step AXPY entry point: `true` when
+/// handled.
 #[inline]
 pub(crate) fn try_axpy_f64<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &mut [Vec<T>],
-    yoff: usize,
+    x: &Soa<'_, T, N>,
+    y: &mut SoaMut<'_, T, N>,
     n: usize,
 ) -> bool {
     if !is_f64::<T>() {
         return false;
     }
-    axpy_f64_at::<N>(
-        active(),
-        mf_to_f64(alpha),
-        comps_as_f64(xc),
-        xoff,
-        comps_as_f64_mut(yc),
-        yoff,
-        n,
-    );
+    // SAFETY: `T == f64` was just checked, so `SoaMut<T, N>` and
+    // `SoaMut<f64, N>` are one type.
+    let y = unsafe { &mut *(y as *mut SoaMut<'_, T, N> as *mut SoaMut<'_, f64, N>) };
+    // SAFETY: as above.
+    let x = unsafe { x.at_f64() };
+    axpy_f64_at::<_, _, N>(active(), mf_to_f64(alpha), x, y, n);
     true
 }
 
@@ -981,20 +1060,76 @@ mod tests {
     fn all_runnable_isas_bit_identical() {
         for n in [0usize, 1, 5, 8, 13, 16, 64, 201] {
             let (sx, sy) = soa_pair(0x15A + n as u64, n);
-            let want = dot_f64_at::<3>(Isa::Scalar, &sx.comps, 0, &sy.comps, 0, n);
+            let want = dot_f64_at::<_, _, 3>(
+                Isa::Scalar,
+                &Soa::new(&sx.comps, 0, n),
+                &Soa::new(&sy.comps, 0, n),
+                n,
+            );
             let alpha = F64x3::from(1.000000521);
             let mut y_want = sy.clone();
-            axpy_f64_at::<3>(Isa::Scalar, alpha, &sx.comps, 0, &mut y_want.comps, 0, n);
+            axpy_f64_at::<_, _, 3>(
+                Isa::Scalar,
+                alpha,
+                &Soa::new(&sx.comps, 0, n),
+                &mut SoaMut::new(&mut y_want.comps, 0, n),
+                n,
+            );
             for isa in runnable_isas() {
-                let got = dot_f64_at::<3>(isa, &sx.comps, 0, &sy.comps, 0, n);
+                let got = dot_f64_at::<_, _, 3>(
+                    isa,
+                    &Soa::new(&sx.comps, 0, n),
+                    &Soa::new(&sy.comps, 0, n),
+                    n,
+                );
                 assert_eq!(got.components(), want.components(), "dot {isa} n={n}");
                 let mut y_got = sy.clone();
-                axpy_f64_at::<3>(isa, alpha, &sx.comps, 0, &mut y_got.comps, 0, n);
+                axpy_f64_at::<_, _, 3>(
+                    isa,
+                    alpha,
+                    &Soa::new(&sx.comps, 0, n),
+                    &mut SoaMut::new(&mut y_got.comps, 0, n),
+                    n,
+                );
                 for k in 0..3 {
                     assert_eq!(y_got.comps[k], y_want.comps[k], "axpy {isa} n={n} comp {k}");
                 }
             }
         }
+    }
+
+    /// The transposing AoS block load of every runnable realization reads
+    /// `MultiFloat` slices in place with the SoA load's lanes: the AoS DOT
+    /// equals the SoA DOT bitwise at N = 1..4 (N = 2 and 4 take the
+    /// register transpose on AVX2, N = 1 and 3 the lane-by-lane gather).
+    #[test]
+    fn aos_dot_bit_identical_across_isas() {
+        fn check<const N: usize>() {
+            let mut rng = SmallRng::seed_from_u64(0xA05 + N as u64);
+            for n in [0usize, 1, 7, 8, 9, 17, 129] {
+                let xs: Vec<MultiFloat<f64, N>> = (0..n)
+                    .map(|_| MultiFloat::from(rng.gen_range(-1.0..1.0f64)) / MultiFloat::from(3.0))
+                    .collect();
+                let ys: Vec<MultiFloat<f64, N>> = (0..n)
+                    .map(|_| MultiFloat::from(rng.gen_range(-1.0..1.0f64)) / MultiFloat::from(7.0))
+                    .collect();
+                let (sx, sy) = (SoaVec::from_slice(&xs), SoaVec::from_slice(&ys));
+                let (x, y) = (Soa::new(&sx.comps, 0, n), Soa::new(&sy.comps, 0, n));
+                let want = dot_f64_at::<_, _, N>(Isa::Scalar, &x, &y, n).components();
+                for isa in runnable_isas() {
+                    let got = dot_f64_at::<_, _, N>(isa, &xs[..], &ys[..], n).components();
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{isa} N={N} n={n}"
+                    );
+                }
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
+        check::<4>();
     }
 
     /// Subnormal heads: lane arithmetic must not flush to zero anywhere
@@ -1017,9 +1152,19 @@ mod tests {
             .collect();
         let sx = SoaVec::from_slice(&xs);
         let sy = SoaVec::from_slice(&ys);
-        let want = dot_f64_at::<2>(Isa::Scalar, &sx.comps, 0, &sy.comps, 0, n);
+        let want = dot_f64_at::<_, _, 2>(
+            Isa::Scalar,
+            &Soa::new(&sx.comps, 0, n),
+            &Soa::new(&sy.comps, 0, n),
+            n,
+        );
         for isa in runnable_isas() {
-            let got = dot_f64_at::<2>(isa, &sx.comps, 0, &sy.comps, 0, n);
+            let got = dot_f64_at::<_, _, 2>(
+                isa,
+                &Soa::new(&sx.comps, 0, n),
+                &Soa::new(&sy.comps, 0, n),
+                n,
+            );
             assert_eq!(got.components(), want.components(), "{isa}");
             assert!(!got.is_zero(), "{isa}: subnormal product flushed to zero");
         }
@@ -1048,10 +1193,22 @@ mod tests {
         let sx = SoaVec::from_slice(&xs);
         let sy = SoaVec::from_slice(&ys);
         let mut y_want = sy.clone();
-        axpy_f64_at::<2>(Isa::Scalar, alpha, &sx.comps, 0, &mut y_want.comps, 0, n);
+        axpy_f64_at::<_, _, 2>(
+            Isa::Scalar,
+            alpha,
+            &Soa::new(&sx.comps, 0, n),
+            &mut SoaMut::new(&mut y_want.comps, 0, n),
+            n,
+        );
         for isa in runnable_isas() {
             let mut y_got = sy.clone();
-            axpy_f64_at::<2>(isa, alpha, &sx.comps, 0, &mut y_got.comps, 0, n);
+            axpy_f64_at::<_, _, 2>(
+                isa,
+                alpha,
+                &Soa::new(&sx.comps, 0, n),
+                &mut SoaMut::new(&mut y_got.comps, 0, n),
+                n,
+            );
             for k in 0..2 {
                 for i in 0..n {
                     let (g, w) = (y_got.comps[k][i], y_want.comps[k][i]);
@@ -1099,10 +1256,14 @@ mod tests {
     fn non_f64_base_declines_dispatch() {
         let xc: Vec<Vec<f32>> = vec![vec![1.0f32; 8]; 2];
         let yc = xc.clone();
-        assert!(try_dot_f64::<f32, 2>(&xc, 0, &yc, 0, 8).is_none());
+        let (x, y) = (Soa::<f32, 2>::new(&xc, 0, 8), Soa::<f32, 2>::new(&yc, 0, 8));
+        assert!(try_dot_f64::<f32, _, _, 2>(&x, &y, 8).is_none());
+        let aos = [MultiFloat::<f32, 2>::from(1.5f32); 8];
+        assert!(try_dot_f64::<f32, _, _, 2>(&aos[..], &aos[..], 8).is_none());
         let mut yc2 = yc.clone();
         let alpha = MultiFloat::<f32, 2>::from(1.5f32);
-        assert!(!try_axpy_f64::<f32, 2>(alpha, &xc, 0, &mut yc2, 0, 8));
+        let mut y2 = SoaMut::<f32, 2>::new(&mut yc2, 0, 8);
+        assert!(!try_axpy_f64::<f32, 2>(alpha, &x, &mut y2, 8));
         assert_eq!(yc2, yc, "declined dispatch must not touch y");
     }
 }

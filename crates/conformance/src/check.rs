@@ -1192,6 +1192,20 @@ fn check_vec_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
                     ),
                 ));
             }
+            // The AoS entry point reads the same lanes in place.
+            let aos_got = parallel::dot(&x, &y, 1);
+            if aos_got.components() != simd_ref.components() {
+                out.push(diverge(
+                    case,
+                    "blas-simd",
+                    format!(
+                        "aos dot {:?} != lockstep {:?} (isa {})",
+                        aos_got.components(),
+                        simd_ref.components(),
+                        mf_blas::simd::active()
+                    ),
+                ));
+            }
             let mut exact = MpFloat::zero(ORACLE_PREC);
             let mut mag = MpFloat::zero(ORACLE_PREC);
             for i in 0..x.len() {
@@ -1451,11 +1465,22 @@ fn check_matrix_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
         kernels::gemv(alpha, &ma, &x, beta, &mut ys);
         parallel::gemv(alpha, &ma, &x, beta, &mut yp, 3);
         for i in 0..m {
-            if ys[i].components() != yp[i].components() {
+            // Every parallel GEMV row is the lock-step DOT read in place:
+            // bitwise the portable `Lanes` instantiation of the AoS body.
+            let row = lanes::dot_lockstep_aos_l::<f64, N, { lanes::SIMD_LANES }>(
+                &a[i * k..(i + 1) * k],
+                &x,
+            );
+            let want = if beta.is_zero() {
+                alpha.mul(row)
+            } else {
+                beta.mul(y0[i]).add(alpha.mul(row))
+            };
+            if yp[i].components() != want.components() {
                 out.push(diverge(
                     case,
                     "blas-parallel",
-                    format!("gemv[{i}] differs from serial"),
+                    format!("gemv[{i}] differs from the portable lock-step reference"),
                 ));
                 return out;
             }
@@ -1473,11 +1498,11 @@ fn check_matrix_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
                 mag = mag.add(&term.abs(), ORACLE_PREC);
                 exact = exact.add(&term, ORACLE_PREC);
             }
-            if let Some(d) =
-                entry_divergence::<N>(case, "blas-serial", ys[i], &exact, &mag, bexp, i)
-            {
-                out.push(d);
-                return out;
+            for (name, r) in [("blas-serial", ys[i]), ("blas-parallel", yp[i])] {
+                if let Some(d) = entry_divergence::<N>(case, name, r, &exact, &mag, bexp, i) {
+                    out.push(d);
+                    return out;
+                }
             }
         }
     }

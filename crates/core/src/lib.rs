@@ -78,7 +78,12 @@ impl<T: FloatBase, const N: usize> Default for MultiFloat<T, N> {
 ///
 /// `N` must be between 1 and 4; `MultiFloat<T, 1>` behaves as a transparent
 /// wrapper over `T` (the paper's `MultiFloat<T, 1>` alias).
+///
+/// `repr(transparent)`: a slice of `MultiFloat<T, N>` is laid out as `N·len`
+/// contiguous components, element-major, so vector loads can read it in
+/// place.
 #[derive(Clone, Copy, Debug)]
+#[repr(transparent)]
 pub struct MultiFloat<T: FloatBase, const N: usize> {
     /// Components, `c[0]` largest. Public to the crate; external users go
     /// through [`Self::components`] / [`Self::from_components_renorm`].
