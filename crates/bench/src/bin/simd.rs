@@ -1,17 +1,19 @@
 //! Explicit-SIMD ISA ablation (ISSUE 10; DESIGN.md "Explicit SIMD").
 //!
-//! Measures DOT and AXPY over `MultiFloat<f64, 2>` through the SoA
-//! lock-step dispatch at every ISA realization this host can run
-//! (`mf_blas::simd::force`), and records per-ISA history kernels
-//! (`DOT/16384/mf/simd-avx2`, `AXPY/16384/mf/simd-scalar`, ...) for the
-//! trend pipeline. `simd-scalar` disables the AVX2+FMA frames entirely
-//! (soft-float `mul_add`), so the scalar rows double as the
+//! Measures `soa::dot` and `soa::axpy` over `MultiFloat<f64, 2>` at every
+//! ISA realization this host can run (`mf_blas::simd::force`), and records
+//! per-ISA history kernels (`DOT/16384/mf/simd-avx2`,
+//! `AXPY/16384/mf/simd-scalar`, ...) for the trend pipeline. `DOT/*` rows
+//! time the lock-step DOT on each realization's lane type. `AXPY/*` rows
+//! time the one element-wise AXPY body with the AVX2+FMA frame on
+//! (`simd-avx2`) or off (`simd-scalar`, soft-float `mul_add`); AXPY has no
+//! explicit lanes. The scalar rows double as the no-FMA-frame,
 //! no-explicit-SIMD baseline of the EXPERIMENTS ablation.
 //!
 //! After measuring, scalar (baseline) and avx2 (current) are compared
 //! *in-process* with the same bootstrap machinery the `trend` gate uses:
-//! an `improvement` verdict means the explicit AVX2 backend is confidently
-//! faster at that size.
+//! an `improvement` verdict means the avx2 selection (explicit lanes for
+//! DOT, the FMA frame for both) is confidently faster at that size.
 //!
 //! `--dump <path>` skips measurement: it runs a fixed seeded workload
 //! through the *env-selected* realization (`MF_SIMD`) across every
@@ -292,7 +294,9 @@ fn main() {
             &wrap("simd-avx2", avx2_entries),
             &cfg,
         );
-        println!("\nExplicit AVX2 vs scalar lockstep (positive change = avx2 faster)");
+        println!(
+            "\nMF_SIMD avx2 vs scalar: lock-step DOT lanes, AXPY FMA frame (positive change = avx2 faster)"
+        );
         print!("{}", trend::render_table(&trends));
     } else {
         println!("\n(avx2 not supported on this host; no in-process ablation verdicts)");

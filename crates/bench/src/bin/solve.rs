@@ -1,15 +1,17 @@
-//! Tiled-vs-flat GEMM ablation and mixed-precision iterative-refinement
-//! benchmarks (DESIGN.md §10).
+//! SoA-vs-AoS GEMM and mixed-precision iterative-refinement benchmarks
+//! (DESIGN.md §10).
 //!
 //! Two workloads:
 //!
-//! 1. `MultiFloat<f64, 2>` GEMM at n ∈ {64, 256}: the flat row-parallel
-//!    AoS path (`parallel::gemm`) against the cache-blocked SoA path
-//!    (`tile::gemm_tiled`). History kernels `GEMM/<n>/mf/flat` and
+//! 1. `MultiFloat<f64, 2>` GEMM at n ∈ {64, 256}: the row-parallel AoS
+//!    path (`parallel::gemm`, kernel `flat`) against the row-parallel SoA
+//!    path (`tile::gemm_tiled`, kernel `tile`: one row range per thread
+//!    through `soa::gemm_rows`). Both split rows the same way; they differ
+//!    in layout and inner loop. History kernels `GEMM/<n>/mf/flat` and
 //!    `GEMM/<n>/mf/tile` feed the trend gate; the two variants are also
-//!    compared *in-process* with the bootstrap machinery (flat as
-//!    baseline, tile as current — an `improvement` verdict means tiling is
-//!    confidently faster at that size).
+//!    compared *in-process* with the bootstrap machinery (AoS as
+//!    baseline, SoA as current — an `improvement` verdict means the SoA
+//!    GEMM is confidently faster at that size).
 //! 2. Mixed-precision iterative refinement on the n = 64 Hilbert system:
 //!    fixed-step `mf_solve::refine_with_factors` with `F64x2` and `F64x4`
 //!    residuals (`IR/hilbert64/x2`, `IR/hilbert64/x4`) — the O(n²)
@@ -133,7 +135,7 @@ fn main() {
         let va = rand_f64s(11, n * n);
         let vb = rand_f64s(12, n * n);
 
-        // Flat: row-parallel AoS GEMM (the pre-tiling path).
+        // flat: row-parallel AoS GEMM.
         let a = Matrix {
             rows: n,
             cols: n,
@@ -157,7 +159,7 @@ fn main() {
         eprintln!("GEMM n={n:>4} flat {:>9.4} Gop/s", m.gops);
         flat_entries.push(entry(&format!("GEMM/{n}"), gops_samples(&m), m.iters));
 
-        // Tiled: cache-blocked SoA GEMM.
+        // tile: row-parallel SoA GEMM.
         let sa = SoaMatrix::<f64, 2>::from_fn(n, n, |i, j| F64x2::from(va[i * n + j]));
         let sb = SoaMatrix::<f64, 2>::from_fn(n, n, |i, j| F64x2::from(vb[i * n + j]));
         let mut sc = SoaMatrix::<f64, 2>::zeros(n, n);
@@ -201,15 +203,15 @@ fn main() {
         eprintln!("IR   n={IR_N:>4} {label:<4} {:>9.4} Gop/s", m.gops);
     }
 
-    // In-process ablation verdicts: flat is the baseline, tile the current
-    // side, so `improvement` == tiling confidently faster.
+    // In-process ablation verdicts: AoS (`flat`) is the baseline, SoA
+    // (`tile`) the current side, so `improvement` == SoA confidently faster.
     let cfg = trend::TrendConfig::default();
     let trends = trend::analyze(
         &wrap("flat", flat_entries),
         &wrap("tile", tile_entries),
         &cfg,
     );
-    println!("\nTiled vs flat GEMM ({threads} threads; positive change = tiled faster)");
+    println!("\nRow-parallel SoA vs AoS GEMM ({threads} threads; positive change = SoA faster)");
     print!("{}", trend::render_table(&trends));
 
     let platform = {

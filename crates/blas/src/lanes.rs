@@ -9,12 +9,14 @@
 //! GPU lane runs the same FPAN on its own data), and it removes the need
 //! for the autovectorizer to discover the parallelism on its own.
 //!
-//! The lock-step DOT and AXPY bodies ([`lockstep_dot`], [`lockstep_axpy`])
-//! are written once against the [`VLane`] trait. [`Lanes`] instantiates
-//! them as the portable reference path; the intrinsic realizations in
-//! [`crate::simd`] (`V8Avx2`, `V8Neon`) instantiate the same
-//! bodies, so every realization runs one gate graph and one reduction
-//! structure.
+//! The engine is DOT-only. The one lock-step DOT body ([`lockstep_dot`])
+//! is written once against the [`VLane`] trait. [`Lanes`] instantiates it
+//! as the portable reference path; the intrinsic realizations in
+//! [`crate::simd`] (`V8Avx2`, `V8Neon`) instantiate the same body, so
+//! every realization runs one gate graph and one reduction structure.
+//! Streaming kernels (AXPY, the GEMM inner loop) stay element-wise: inside
+//! the AVX2+FMA frame the compiler vectorizes them, and explicit lanes
+//! measured slower there (EXPERIMENTS.md ablation 16).
 //!
 //! Semantics notes:
 //!
@@ -265,26 +267,16 @@ pub(crate) trait VLane: FloatBase {
     fn lanes_mut(&mut self) -> &mut [Self::Elem];
 
     /// Masked load: fills the first `min(s.len(), WIDTH)` lanes and
-    /// zero-pads the rest, so chunk tails shorter than `WIDTH` load
-    /// without callers hand-rolling padding. Zero lanes are inert through
-    /// the element-wise FPANs — they can only *weaken* the `FastTwoSum`
-    /// exponent preconditions (both sides' lane-max exponents move toward
-    /// `exponent(0)` monotonically), never falsely trip them — and
-    /// [`VLane::store`] discards them.
+    /// zero-pads the rest. Zero lanes are inert through the element-wise
+    /// FPANs — they can only *weaken* the `FastTwoSum` exponent
+    /// preconditions (both sides' lane-max exponents move toward
+    /// `exponent(0)` monotonically), never falsely trip them.
     #[inline(always)]
     fn load(s: &[Self::Elem]) -> Self {
         let mut v = Self::ZERO;
         let take = s.len().min(Self::WIDTH);
         v.lanes_mut()[..take].copy_from_slice(&s[..take]);
         v
-    }
-
-    /// Masked store: writes the first `min(out.len(), WIDTH)` lanes;
-    /// padding lanes from [`VLane::load`] are discarded.
-    #[inline(always)]
-    fn store(&self, out: &mut [Self::Elem]) {
-        let take = out.len().min(Self::WIDTH);
-        out[..take].copy_from_slice(&self.lanes()[..take]);
     }
 
     /// Array-of-structs block load: lane `l` of vector `k` is component
@@ -294,13 +286,6 @@ pub(crate) trait VLane: FloatBase {
     #[inline(always)]
     fn load_aos<const N: usize>(src: &[MultiFloat<Self::Elem, N>]) -> [Self; N] {
         gather_aos(src)
-    }
-
-    #[inline(always)]
-    fn splat(e: Self::Elem) -> Self {
-        let mut v = Self::ZERO;
-        v.lanes_mut().fill(e);
-        v
     }
 }
 
@@ -346,12 +331,6 @@ pub(crate) trait Operand<E: FloatBase, const N: usize> {
     fn at(&self, i: usize) -> [E; N];
 }
 
-/// An operand a lock-step body also writes back.
-pub(crate) trait OperandMut<E: FloatBase, const N: usize>: Operand<E, N> {
-    /// Write the first `len` lanes of `s` to elements `i..i + len`.
-    fn store<V: VLane<Elem = E>>(&mut self, i: usize, len: usize, s: &[V; N]);
-}
-
 /// Structure-of-arrays operand: one slice per component.
 pub(crate) struct Soa<'a, E, const N: usize>([&'a [E]; N]);
 
@@ -372,41 +351,6 @@ impl<E: FloatBase, const N: usize> Operand<E, N> for Soa<'_, E, N> {
     #[inline(always)]
     fn at(&self, i: usize) -> [E; N] {
         core::array::from_fn(|k| self.0[k][i])
-    }
-}
-
-/// Mutable structure-of-arrays operand.
-pub(crate) struct SoaMut<'a, E, const N: usize>([&'a mut [E]; N]);
-
-impl<'a, E: FloatBase, const N: usize> SoaMut<'a, E, N> {
-    /// Elements `off..off + n` of the component vectors `comps`.
-    #[inline(always)]
-    pub(crate) fn new(comps: &'a mut [Vec<E>], off: usize, n: usize) -> Self {
-        let mut it = comps.iter_mut();
-        SoaMut(core::array::from_fn(|_| {
-            &mut it.next().expect("N component vectors")[off..off + n]
-        }))
-    }
-}
-
-impl<E: FloatBase, const N: usize> Operand<E, N> for SoaMut<'_, E, N> {
-    #[inline(always)]
-    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N] {
-        Soa(self.0.each_ref().map(|c| &**c)).block(i, len)
-    }
-
-    #[inline(always)]
-    fn at(&self, i: usize) -> [E; N] {
-        Soa(self.0.each_ref().map(|c| &**c)).at(i)
-    }
-}
-
-impl<E: FloatBase, const N: usize> OperandMut<E, N> for SoaMut<'_, E, N> {
-    #[inline(always)]
-    fn store<V: VLane<Elem = E>>(&mut self, i: usize, len: usize, s: &[V; N]) {
-        for k in 0..N {
-            s[k].store(&mut self.0[k][i..i + len]);
-        }
     }
 }
 
@@ -475,35 +419,6 @@ where
     MultiFloat::from_components(total)
 }
 
-/// The one lock-step AXPY body. AXPY is element-wise, so — unlike the
-/// reduction — the tail shorter than `WIDTH` also rides the vector lanes
-/// through the masked block load and [`OperandMut::store`]: each real lane
-/// computes the bits of the scalar loop, padding lanes are zero in and
-/// discarded out.
-#[inline(always)]
-pub(crate) fn lockstep_axpy<V, X, Y, const N: usize>(
-    alpha: MultiFloat<V::Elem, N>,
-    x: &X,
-    y: &mut Y,
-    n: usize,
-) where
-    V: VLane,
-    X: Operand<V::Elem, N> + ?Sized,
-    Y: OperandMut<V::Elem, N> + ?Sized,
-{
-    let w = V::WIDTH;
-    let a = alpha.components();
-    let av: [V; N] = core::array::from_fn(|k| V::splat(a[k]));
-    let mut i = 0;
-    while i < n {
-        let len = w.min(n - i);
-        let xi: [V; N] = x.block(i, len);
-        let yi: [V; N] = y.block(i, len);
-        y.store(i, len, &addition::add(&multiplication::mul(&av, &xi), &yi));
-        i += len;
-    }
-}
-
 /// Lock-step DOT over component slices at [`SIMD_LANES`] lanes.
 ///
 /// At `T = f64` this dispatches to the explicit-intrinsic realization
@@ -561,25 +476,6 @@ pub fn dot_lockstep_aos_l<T: FloatBase, const N: usize, const L: usize>(
 ) -> MultiFloat<T, N> {
     assert_eq!(x.len(), y.len());
     lockstep_dot::<Lanes<T, L>, _, _, N>(x, y, x.len())
-}
-
-/// Lock-step AXPY over component slices starting at the given offsets
-/// (used by the SoA GEMM inner loop, where x/y are matrix rows). At
-/// `T = f64` this dispatches like [`dot_lockstep`].
-pub fn axpy_lockstep_at<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &mut [Vec<T>],
-    yoff: usize,
-    n: usize,
-) {
-    let x = Soa::new(xc, xoff, n);
-    let mut y = SoaMut::new(yc, yoff, n);
-    if crate::simd::try_axpy_f64::<T, N>(alpha, &x, &mut y, n) {
-        return;
-    }
-    lockstep_axpy::<Lanes<T, SIMD_LANES>, _, _, N>(alpha, &x, &mut y, n)
 }
 
 #[cfg(test)]
@@ -767,33 +663,10 @@ mod tests {
         assert_eq!(n.partial_cmp(&a), None);
     }
 
+    /// The masked [`VLane::load`] at every length `0..=L`: short loads
+    /// zero-fill, and NaN / inf / subnormal / `-0.0` load bitwise.
     #[test]
-    fn axpy_lockstep_matches_scalar_axpy_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(1703);
-        let n = 203;
-        let xs: Vec<F64x4> = (0..n)
-            .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let ys: Vec<F64x4> = (0..n)
-            .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let alpha = F64x4::from(1.000001);
-        let sx = SoaVec::from_slice(&xs);
-        let mut sy = SoaVec::from_slice(&ys);
-        axpy_lockstep_at::<f64, 4>(alpha, &sx.comps, 0, &mut sy.comps, 0, n);
-        let mut y_ref = ys.clone();
-        crate::kernels::axpy(alpha, &xs, &mut y_ref);
-        for i in 0..n {
-            assert_eq!(sy.get(i).components(), y_ref[i].components(), "i={i}");
-        }
-    }
-
-    /// The masked [`VLane::load`]/[`VLane::store`] pair at every length
-    /// `0..=L`: short loads zero-fill, short stores leave the untouched
-    /// region intact, and NaN / inf / subnormal / `-0.0` survive the
-    /// round-trip bitwise.
-    #[test]
-    fn partial_load_store_round_trip() {
+    fn partial_load_zero_fills() {
         const L: usize = SIMD_LANES;
         for len in 0..=L {
             let src: Vec<f64> = (0..len).map(|i| -(i as f64) - 1.0).collect();
@@ -801,12 +674,6 @@ mod tests {
             for l in 0..L {
                 let want = if l < len { -(l as f64) - 1.0 } else { 0.0 };
                 assert_eq!(v.0[l], want, "len={len} lane {l}");
-            }
-            let mut out = [7.5f64; L + 2];
-            v.store(&mut out[..len]);
-            for (i, &o) in out.iter().enumerate() {
-                let want = if i < len { -(i as f64) - 1.0 } else { 7.5 };
-                assert_eq!(o, want, "len={len} out[{i}]");
             }
         }
         let specials = [
@@ -819,30 +686,6 @@ mod tests {
         let v = Lanes::<f64, L>::load(&specials);
         for (i, s) in specials.iter().enumerate() {
             assert_eq!(v.0[i].to_bits(), s.to_bits(), "special {i}");
-        }
-    }
-
-    /// Vectorized AXPY tails (masked lanes) must match the scalar kernel
-    /// bitwise at every tail length `1..L`, including n < L outright.
-    #[test]
-    fn axpy_lockstep_short_tails_match_scalar_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(1705);
-        for n in [1usize, 2, 3, 5, 7, 8, 9, 11, 15, 17, 23] {
-            let xs: Vec<F64x4> = (0..n)
-                .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-                .collect();
-            let ys: Vec<F64x4> = (0..n)
-                .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-                .collect();
-            let alpha = F64x4::from(-0.517);
-            let sx = SoaVec::from_slice(&xs);
-            let mut sy = SoaVec::from_slice(&ys);
-            axpy_lockstep_at::<f64, 4>(alpha, &sx.comps, 0, &mut sy.comps, 0, n);
-            let mut y_ref = ys.clone();
-            crate::kernels::axpy(alpha, &xs, &mut y_ref);
-            for i in 0..n {
-                assert_eq!(sy.get(i).components(), y_ref[i].components(), "n={n} i={i}");
-            }
         }
     }
 }

@@ -17,16 +17,19 @@
 //!   component loads let the branch-free FPAN arithmetic run across
 //!   elements in lock-step (the paper's SIMD mechanism; branchy baselines
 //!   *cannot* be written this way, which is the source of the
-//!   order-of-magnitude gap);
-//! * [`lanes`] — the one lock-step DOT body and the one lock-step AXPY
-//!   body, generic over a lane type and over the operand layout (SoA
-//!   component slices, or AoS `MultiFloat` slices read in place, which is
-//!   how `parallel::{dot, gemv}` and the adaptive base rung run them);
-//!   [`lanes::Lanes`] instantiates them as the portable reference path;
+//!   order-of-magnitude gap). DOT and GEMV run the lock-step DOT; AXPY
+//!   runs one element-wise body, and every SoA GEMM one `ikj` row-range
+//!   body (`soa::gemm_rows`) built on it;
+//! * [`lanes`] — the one lock-step DOT body, generic over a lane type and
+//!   over the operand layout (SoA component slices, or AoS `MultiFloat`
+//!   slices read in place, which is how `parallel::{dot, gemv}` and the
+//!   adaptive base rung run it); [`lanes::Lanes`] instantiates it as the
+//!   portable reference path;
 //! * [`simd`] — intrinsic lane types (AVX2, NEON) instantiating
-//!   the same bodies, the `MF_SIMD` selection ladder, and the one
+//!   the same body, the `MF_SIMD` selection ladder, and the one
 //!   AVX2+FMA frame macro every other kernel is dispatched through;
-//! * [`tile`] — cache-blocked GEMM over SoA matrices;
+//! * [`tile`] — row-parallel SoA GEMM: one row range per thread through
+//!   the SoA GEMM body on the worker pool;
 //! * [`adaptive`] — chunk-granular precision escalation over `F64x2`;
 //! * [`mp`] — kernels over the limb-based `MpFloat` (the GMP/MPFR-class
 //!   baseline, with its allocation and branching costs included, as in the

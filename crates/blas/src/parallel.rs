@@ -48,7 +48,7 @@ static PAR_DEGRADED_CHUNKS: Counter = Counter::new("blas.parallel.degraded_chunk
 
 /// Record one parallel dispatch over `ranges` (one task per chunk).
 #[inline]
-fn record_dispatch(ranges: &[(usize, usize)]) {
+pub(crate) fn record_dispatch(ranges: &[(usize, usize)]) {
     if !mf_telemetry::ENABLED {
         return;
     }
@@ -118,7 +118,7 @@ fn describe_panic(p: &(dyn std::any::Any + Send)) -> String {
 /// `split_at_mut`. This wrapper shares the raw base pointer instead; every
 /// chunk index maps to an element range from [`chunk_ranges`], and those
 /// ranges never overlap, so no two concurrently live `slice` views alias.
-struct ChunkedMut<'a, S> {
+pub(crate) struct ChunkedMut<'a, S> {
     ptr: *mut S,
     len: usize,
     _life: PhantomData<&'a mut [S]>,
@@ -130,7 +130,7 @@ struct ChunkedMut<'a, S> {
 unsafe impl<S: Send> Sync for ChunkedMut<'_, S> {}
 
 impl<'a, S> ChunkedMut<'a, S> {
-    fn new(data: &'a mut [S]) -> Self {
+    pub(crate) fn new(data: &'a mut [S]) -> Self {
         ChunkedMut {
             ptr: data.as_mut_ptr(),
             len: data.len(),
@@ -140,12 +140,17 @@ impl<'a, S> ChunkedMut<'a, S> {
 
     /// # Safety
     ///
-    /// `lo..hi` must be in bounds and disjoint from every other range with
-    /// a live view; each chunk index must be executed at most once per
-    /// dispatch (the pool's cursor guarantees this).
+    /// `lo..hi` must be disjoint from every other range with a live view;
+    /// each chunk index must be executed at most once per dispatch (the
+    /// pool's cursor guarantees this). Bounds are checked here, in every
+    /// build.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [S] {
-        debug_assert!(lo <= hi && hi <= self.len);
+    pub(crate) unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [S] {
+        assert!(
+            lo <= hi && hi <= self.len,
+            "chunk {lo}..{hi} out of bounds of {} elements",
+            self.len
+        );
         std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo)
     }
 }
@@ -374,6 +379,15 @@ pub fn gemm<S: Scalar>(
         "gemm: C is {}x{} but A*B is {}x{}",
         c.rows, c.cols, a.rows, b.cols
     );
+    assert_eq!(
+        c.data.len(),
+        c.rows * c.cols,
+        "gemm: C is {}x{} ({} elements) but its data holds {}",
+        c.rows,
+        c.cols,
+        c.rows * c.cols,
+        c.data.len()
+    );
     if threads <= 1 {
         return kernels::gemm(alpha, a, b, beta, c);
     }
@@ -546,6 +560,17 @@ mod tests {
         let b = Matrix::from_fn(4, 2, |_, _| F64x2::from(1.0));
         let mut c = Matrix::from_fn(2, 2, |_, _| F64x2::from(0.0));
         gemm(F64x2::from(1.0), &a, &b, F64x2::from(0.0), &mut c, 2);
+    }
+
+    /// A malformed output matrix (public fields, `data` shorter than
+    /// `rows * cols`) is rejected before any chunk view is built.
+    #[test]
+    #[should_panic(expected = "gemm: C is 64x64 (4096 elements) but its data holds 64")]
+    fn gemm_rejects_truncated_output_data() {
+        let a = Matrix::from_fn(64, 64, |_, _| F64x2::from(1.0));
+        let mut c = Matrix::from_fn(64, 64, |_, _| F64x2::from(0.0));
+        c.data.truncate(64);
+        gemm(F64x2::from(1.0), &a, &a, F64x2::from(0.0), &mut c, 2);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! **Bitwise-identity contract.** Every hot operation the networks use
 //! (add, sub, mul, div, fma, sqrt, abs, neg) is IEEE-754 correctly rounded
 //! in every realization, and every realization runs the *same* lock-step
-//! bodies, [`crate::lanes::lockstep_dot`] and
-//! [`crate::lanes::lockstep_axpy`] — this module only instantiates them
-//! (`lanes::dot_lockstep_l::<f64, N, 8>` is their portable instantiation).
-//! The lane structure (fixed 8-lane chunks, ceil-half tree reduction,
-//! scalar tail for reductions) is therefore identical, and each lane
+//! DOT body, [`crate::lanes::lockstep_dot`] — this module only
+//! instantiates it (`lanes::dot_lockstep_l::<f64, N, 8>` is its portable
+//! instantiation). The lane structure (fixed 8-lane chunks, ceil-half tree
+//! reduction, scalar tail) is therefore identical, and each lane
 //! computes the same bits whichever realization runs — the forced-ISA CI
 //! matrix and the `"blas-simd"` conformance class assert this. Cold
 //! predicates (`min`/`max`, `is_*`, `exponent`) are scalar per-lane loops
@@ -42,7 +41,7 @@
 //! codegen — that is what makes the forced-ISA CI matrix a like-for-like
 //! bit comparison.
 
-use crate::lanes::{lockstep_axpy, lockstep_dot, Lanes, Operand, OperandMut, Soa, SoaMut, VLane};
+use crate::lanes::{lockstep_dot, Lanes, Operand, Soa, VLane};
 use core::any::TypeId;
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
@@ -775,15 +774,15 @@ mod neon {
 pub(crate) use neon::V8Neon;
 
 // ---------------------------------------------------------------------------
-// Per-ISA instantiations of the lock-step bodies
+// Per-ISA instantiations of the lock-step DOT
 // ---------------------------------------------------------------------------
 
-/// Instantiate [`lockstep_dot`] and [`lockstep_axpy`] at one realization,
-/// inside the `#[target_feature]` frame that turns its `v_*` intrinsic
-/// calls into bare instructions (and lets LLVM keep the plain-array
-/// storage in registers across the inlined network bodies). The frames
-/// stay generic over the operand layout, so SoA and AoS operands enter the
-/// same instantiation.
+/// Instantiate [`lockstep_dot`] at one realization, inside the
+/// `#[target_feature]` frame that turns its `v_*` intrinsic calls into
+/// bare instructions (and lets LLVM keep the plain-array storage in
+/// registers across the inlined network bodies). The frame stays generic
+/// over the operand layout, so SoA and AoS operands enter the same
+/// instantiation.
 macro_rules! realization_frames {
     ($m:ident, $V:ty $(, $feat:literal)?) => {
         mod $m {
@@ -802,21 +801,6 @@ macro_rules! realization_frames {
                 lockstep_dot::<$V, X, Y, N>(x, y, n)
             }
 
-            /// # Safety
-            ///
-            /// As for `dot`.
-            $(#[target_feature(enable = $feat)])?
-            pub(super) unsafe fn axpy<X, Y, const N: usize>(
-                alpha: MultiFloat<f64, N>,
-                x: &X,
-                y: &mut Y,
-                n: usize,
-            ) where
-                X: Operand<f64, N> + ?Sized,
-                Y: OperandMut<f64, N> + ?Sized,
-            {
-                lockstep_axpy::<$V, X, Y, N>(alpha, x, y, n)
-            }
         }
     };
 }
@@ -865,17 +849,10 @@ impl<T: FloatBase, const N: usize> AtF64 for [MultiFloat<T, N>] {
 }
 
 #[inline(always)]
-fn mf_to_f64<T: FloatBase, const N: usize>(v: MultiFloat<T, N>) -> MultiFloat<f64, N> {
+fn mf_from_f64<T: FloatBase, const N: usize>(v: MultiFloat<f64, N>) -> MultiFloat<T, N> {
     debug_assert!(is_f64::<T>());
     // SAFETY: `T == f64` (checked by the caller), so source and target are
     // the same type; `transmute_copy` of a `Copy` value is the identity.
-    unsafe { core::mem::transmute_copy(&v) }
-}
-
-#[inline(always)]
-fn mf_from_f64<T: FloatBase, const N: usize>(v: MultiFloat<f64, N>) -> MultiFloat<T, N> {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: as for `mf_to_f64`.
     unsafe { core::mem::transmute_copy(&v) }
 }
 
@@ -907,31 +884,6 @@ where
     }
 }
 
-/// Run the AXPY body at an explicit realization (test/bench hook).
-pub(crate) fn axpy_f64_at<X, Y, const N: usize>(
-    isa: Isa,
-    alpha: MultiFloat<f64, N>,
-    x: &X,
-    y: &mut Y,
-    n: usize,
-) where
-    X: Operand<f64, N> + ?Sized,
-    Y: OperandMut<f64, N> + ?Sized,
-{
-    debug_assert!(isa.supported());
-    match isa {
-        Isa::Scalar => lockstep_axpy::<Lanes<f64, LANES>, X, Y, N>(alpha, x, y, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Avx2 => unsafe { avx2_frames::axpy::<X, Y, N>(alpha, x, y, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Neon => unsafe { neon_frames::axpy::<X, Y, N>(alpha, x, y, n) },
-        #[allow(unreachable_patterns)]
-        other => unreachable!("axpy_f64_at: {other} not compiled into this build"),
-    }
-}
-
 /// f64 specialization of the lock-step DOT entry points, for either
 /// operand layout: `Some(result)` when `T` is `f64` (the intrinsic
 /// backend applies), `None` otherwise (caller falls back to the generic
@@ -958,27 +910,6 @@ where
     // SAFETY: `T == f64` was just checked.
     let r = unsafe { dot_f64_at::<X::View, Y::View, N>(active(), x.at_f64(), y.at_f64(), n) };
     Some(mf_from_f64(r))
-}
-
-/// f64 specialization of the SoA lock-step AXPY entry point: `true` when
-/// handled.
-#[inline]
-pub(crate) fn try_axpy_f64<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    x: &Soa<'_, T, N>,
-    y: &mut SoaMut<'_, T, N>,
-    n: usize,
-) -> bool {
-    if !is_f64::<T>() {
-        return false;
-    }
-    // SAFETY: `T == f64` was just checked, so `SoaMut<T, N>` and
-    // `SoaMut<f64, N>` are one type.
-    let y = unsafe { &mut *(y as *mut SoaMut<'_, T, N> as *mut SoaMut<'_, f64, N>) };
-    // SAFETY: as above.
-    let x = unsafe { x.at_f64() };
-    axpy_f64_at::<_, _, N>(active(), mf_to_f64(alpha), x, y, n);
-    true
 }
 
 #[cfg(test)]
@@ -1053,9 +984,9 @@ mod tests {
         assert!(!frames_allowed(Isa::Neon));
     }
 
-    /// Every runnable realization must produce the same bits as the
-    /// portable one, for DOT and AXPY, across sizes straddling the lane
-    /// width (tails shorter than L included).
+    /// Every runnable realization must produce the same DOT bits as the
+    /// portable one, across sizes straddling the lane width (tails shorter
+    /// than L included).
     #[test]
     fn all_runnable_isas_bit_identical() {
         for n in [0usize, 1, 5, 8, 13, 16, 64, 201] {
@@ -1066,15 +997,6 @@ mod tests {
                 &Soa::new(&sy.comps, 0, n),
                 n,
             );
-            let alpha = F64x3::from(1.000000521);
-            let mut y_want = sy.clone();
-            axpy_f64_at::<_, _, 3>(
-                Isa::Scalar,
-                alpha,
-                &Soa::new(&sx.comps, 0, n),
-                &mut SoaMut::new(&mut y_want.comps, 0, n),
-                n,
-            );
             for isa in runnable_isas() {
                 let got = dot_f64_at::<_, _, 3>(
                     isa,
@@ -1083,17 +1005,6 @@ mod tests {
                     n,
                 );
                 assert_eq!(got.components(), want.components(), "dot {isa} n={n}");
-                let mut y_got = sy.clone();
-                axpy_f64_at::<_, _, 3>(
-                    isa,
-                    alpha,
-                    &Soa::new(&sx.comps, 0, n),
-                    &mut SoaMut::new(&mut y_got.comps, 0, n),
-                    n,
-                );
-                for k in 0..3 {
-                    assert_eq!(y_got.comps[k], y_want.comps[k], "axpy {isa} n={n} comp {k}");
-                }
             }
         }
     }
@@ -1170,61 +1081,9 @@ mod tests {
         }
     }
 
-    /// NaN / infinity lanes: element-wise AXPY must place non-finite
-    /// results exactly where the scalar kernel does and nowhere else
-    /// (no cross-lane contamination). Compared structurally (NaN is
-    /// NaN-position equal, finite lanes bitwise) rather than bit-for-bit:
-    /// NaN *payload* propagation through a soft-float `fma` fallback is
-    /// the one place IEEE 754 leaves implementations room.
-    #[test]
-    fn nan_inf_lanes_stay_lanewise() {
-        let n = 2 * LANES + 3;
-        let mut rng = SmallRng::seed_from_u64(0xA17);
-        let mut xs: Vec<F64x2> = (0..n)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0f64)))
-            .collect();
-        xs[3] = F64x2::from(f64::NAN);
-        xs[LANES] = F64x2::from(f64::INFINITY);
-        xs[n - 1] = F64x2::from(f64::NEG_INFINITY);
-        let ys: Vec<F64x2> = (0..n)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0f64)))
-            .collect();
-        let alpha = F64x2::from(2.5);
-        let sx = SoaVec::from_slice(&xs);
-        let sy = SoaVec::from_slice(&ys);
-        let mut y_want = sy.clone();
-        axpy_f64_at::<_, _, 2>(
-            Isa::Scalar,
-            alpha,
-            &Soa::new(&sx.comps, 0, n),
-            &mut SoaMut::new(&mut y_want.comps, 0, n),
-            n,
-        );
-        for isa in runnable_isas() {
-            let mut y_got = sy.clone();
-            axpy_f64_at::<_, _, 2>(
-                isa,
-                alpha,
-                &Soa::new(&sx.comps, 0, n),
-                &mut SoaMut::new(&mut y_got.comps, 0, n),
-                n,
-            );
-            for k in 0..2 {
-                for i in 0..n {
-                    let (g, w) = (y_got.comps[k][i], y_want.comps[k][i]);
-                    if w.is_nan() {
-                        assert!(g.is_nan(), "{isa}: [{k}][{i}] lost NaN");
-                    } else {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{isa}: [{k}][{i}]");
-                    }
-                }
-            }
-        }
-    }
-
-    /// The dispatched generic entry points (what `soa.rs` calls) must
-    /// agree bitwise with the element-wise scalar kernel / the portable
-    /// lockstep reference, whatever `MF_SIMD` selected for this process.
+    /// The dispatched generic entry point (what `soa.rs` calls) must agree
+    /// bitwise with the portable lockstep reference, whatever `MF_SIMD`
+    /// selected for this process.
     #[test]
     fn dispatched_entry_matches_references() {
         let mut rng = SmallRng::seed_from_u64(0xD15);
@@ -1240,15 +1099,6 @@ mod tests {
         let got = crate::lanes::dot_lockstep::<f64, 4>(&sx.comps, 0, &sy.comps, 0, n);
         let want = crate::lanes::dot_lockstep_l::<f64, 4, LANES>(&sx.comps, 0, &sy.comps, 0, n);
         assert_eq!(got.components(), want.components());
-
-        let alpha = F64x4::from(0.739);
-        let mut y_lock = sy.clone();
-        crate::lanes::axpy_lockstep_at::<f64, 4>(alpha, &sx.comps, 0, &mut y_lock.comps, 0, n);
-        let mut y_ref = ys.clone();
-        crate::kernels::axpy(alpha, &xs, &mut y_ref);
-        for i in 0..n {
-            assert_eq!(y_lock.get(i).components(), y_ref[i].components(), "i={i}");
-        }
     }
 
     /// Non-f64 base types must fall through the specialization untouched.
@@ -1260,10 +1110,5 @@ mod tests {
         assert!(try_dot_f64::<f32, _, _, 2>(&x, &y, 8).is_none());
         let aos = [MultiFloat::<f32, 2>::from(1.5f32); 8];
         assert!(try_dot_f64::<f32, _, _, 2>(&aos[..], &aos[..], 8).is_none());
-        let mut yc2 = yc.clone();
-        let alpha = MultiFloat::<f32, 2>::from(1.5f32);
-        let mut y2 = SoaMut::<f32, 2>::new(&mut yc2, 0, 8);
-        assert!(!try_axpy_f64::<f32, 2>(alpha, &x, &mut y2, 8));
-        assert_eq!(yc2, yc, "declined dispatch must not touch y");
     }
 }

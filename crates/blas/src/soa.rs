@@ -14,10 +14,12 @@
 //! Reductions (DOT, GEMV rows) run the lock-step lane body
 //! ([`crate::lanes::dot_lockstep`]: at `T = f64` the explicit-intrinsic
 //! realization that `MF_SIMD` selects, see [`crate::simd`]). The streaming
-//! AXPY (and the GEMM inner loop built on it) runs lock-step at `N <= 2`
-//! and element-wise at `N >= 3`, where the lock-step live state spills the
-//! register file (measured; see EXPERIMENTS.md ablations). Every entry
-//! point is dispatched through [`crate::simd::fma_frame!`].
+//! AXPY, and the `ikj` GEMM row-range body [`gemm_rows`] built on it, run
+//! one element-wise loop at every `N`: inside the AVX2+FMA frame the
+//! compiler vectorizes it, and explicit lanes measured slower there
+//! (EXPERIMENTS.md ablation 16). [`gemm_rows`] is also the body of the
+//! row-parallel [`crate::tile::gemm_tiled`]. Every entry point is
+//! dispatched through [`crate::simd::fma_frame!`].
 
 use mf_core::{addition, multiplication, FloatBase, MultiFloat};
 
@@ -121,6 +123,20 @@ impl<T: FloatBase, const N: usize> SoaMatrix<T, N> {
             self.comps[k][i * self.cols + j] = c[k];
         }
     }
+
+    /// Panics unless the storage is `N` component vectors of `rows * cols`
+    /// elements. The fields are public, so a caller can break that shape;
+    /// `tile::gemm_tiled` writes through raw row views sized from it.
+    pub(crate) fn assert_storage(&self, kernel: &str) {
+        let want = self.rows * self.cols;
+        assert!(
+            self.comps.len() == N && self.comps.iter().all(|c| c.len() == want),
+            "{kernel}: C is {}x{} ({N} components of {want}) but its component lengths are {:?}",
+            self.rows,
+            self.cols,
+            self.comps.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+    }
 }
 
 /// Borrow the component vectors as an array of equal-length slices
@@ -141,10 +157,8 @@ fn slices_mut<T: FloatBase, const N: usize>(
     core::array::from_fn(|_| &mut it.next().unwrap()[lo..hi])
 }
 
-/// Streaming AXPY core shared by [`axpy`] and [`gemm`] over component
-/// slices at the given offsets: lock-step at `N <= 2`; at `N >= 3` the lane
-/// state spills registers and the element-wise loop is faster (measured;
-/// see EXPERIMENTS.md ablations). Both are element-wise, so both compute
+/// Streaming AXPY core shared by [`axpy`] and [`gemm_rows`] over component
+/// slices at the given offsets: the one element-wise body, so it computes
 /// the bits of the scalar AoS kernel.
 #[inline(always)]
 fn axpy_at<T: FloatBase, const N: usize>(
@@ -155,9 +169,6 @@ fn axpy_at<T: FloatBase, const N: usize>(
     yoff: usize,
     n: usize,
 ) {
-    if N <= 2 {
-        return crate::lanes::axpy_lockstep_at::<T, N>(alpha, xc, xoff, yc, yoff, n);
-    }
     let a = alpha.components();
     let xs: [&[T]; N] = slices(xc, xoff, xoff + n);
     let ys: [&mut [T]; N] = slices_mut(yc, yoff, yoff + n);
@@ -222,41 +233,58 @@ crate::simd::fma_frame! {
 }
 
 crate::simd::fma_frame! {
-    /// `C <- alpha*A*B + beta*C`, `ikj` order, SoA layout (the inner `j` loop
-    /// is the vectorized one).
-    pub fn gemm / gemm_body [T: FloatBase, const N: usize] (
+    /// GEMM over the output row block `lo..hi`, held in `c` (`N` component
+    /// vectors, row-major, `b.cols` wide):
+    /// `C[lo..hi] <- alpha * A[lo..hi] * B + beta * C[lo..hi]`, `ikj` order
+    /// (the inner `j` loop is the vectorized one). The body of both
+    /// [`gemm`] and the row-parallel [`crate::tile::gemm_tiled`], as
+    /// `kernels::gemm_rows` is for the AoS GEMMs.
+    pub(crate) fn gemm_rows / gemm_rows_body [T: FloatBase, const N: usize] (
         alpha: MultiFloat<T, N>,
         a: &SoaMatrix<T, N>,
         b: &SoaMatrix<T, N>,
         beta: MultiFloat<T, N>,
-        c: &mut SoaMatrix<T, N>,
+        c: &mut [Vec<T>],
+        lo: usize,
+        hi: usize,
     ) {
-        assert_eq!(a.cols, b.rows);
-        assert_eq!(c.rows, a.rows);
-        assert_eq!(c.cols, b.cols);
         let n = b.cols;
-        // Scale C by beta; beta == 0 overwrites (no read of possibly-garbage C).
+        let mut cs: [&mut [T]; N] = slices_mut(c, 0, (hi - lo) * n);
+        // Scale C by beta first; beta == 0 overwrites (no read of
+        // possibly-garbage C).
         if beta.is_zero() {
-            for comp in c.comps.iter_mut() {
-                for v in comp.iter_mut() {
-                    *v = T::ZERO;
-                }
+            for comp in cs {
+                comp.fill(T::ZERO);
             }
         } else {
-            for i in 0..c.rows {
-                for j in 0..n {
-                    let v = c.get(i, j);
-                    c.set(i, j, beta.mul(v));
+            for j in 0..(hi - lo) * n {
+                let v = beta.mul(MultiFloat::from_components(core::array::from_fn(|k| cs[k][j])));
+                for (comp, ck) in cs.iter_mut().zip(v.components()) {
+                    comp[j] = ck;
                 }
             }
         }
-        for i in 0..a.rows {
+        for (r, i) in (lo..hi).enumerate() {
             for k in 0..a.cols {
                 let aik = alpha.mul(a.get(i, k));
-                axpy_at(aik, &b.comps, k * n, &mut c.comps, i * n, n);
+                axpy_at(aik, &b.comps, k * n, c, r * n, n);
             }
         }
     }
+}
+
+/// `C <- alpha*A*B + beta*C`, `ikj` order, SoA layout.
+pub fn gemm<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    a: &SoaMatrix<T, N>,
+    b: &SoaMatrix<T, N>,
+    beta: MultiFloat<T, N>,
+    c: &mut SoaMatrix<T, N>,
+) {
+    assert_eq!(a.cols, b.rows);
+    assert_eq!(c.rows, a.rows);
+    assert_eq!(c.cols, b.cols);
+    gemm_rows(alpha, a, b, beta, &mut c.comps, 0, a.rows)
 }
 
 #[cfg(test)]
@@ -284,28 +312,51 @@ mod tests {
         }
     }
 
+    /// The one element-wise AXPY body is the AoS kernel's op sequence at
+    /// every `N` and length: bitwise `kernels::axpy` around the lane width
+    /// (tails shorter than 8 included) and at 203. NaN / infinity inputs
+    /// land where the AoS kernel puts them and nowhere else (NaN compared
+    /// by position: payload propagation is the one place IEEE 754 leaves
+    /// implementations room).
     #[test]
     fn axpy_soa_matches_aos_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(911);
-        let n = 103;
-        let xs: Vec<F64x4> = (0..n).map(|_| rand_mf(&mut rng)).collect();
-        let ys: Vec<F64x4> = (0..n).map(|_| rand_mf(&mut rng)).collect();
-        let alpha = rand_mf(&mut rng);
-        // AoS
-        let mut y_aos = ys.clone();
-        kernels::axpy(alpha, &xs, &mut y_aos);
-        // SoA
-        let x_soa = SoaVec::from_slice(&xs);
-        let mut y_soa = SoaVec::from_slice(&ys);
-        axpy(alpha, &x_soa, &mut y_soa);
-        let y_back = y_soa.to_vec();
-        for i in 0..n {
-            assert_eq!(
-                y_aos[i].components(),
-                y_back[i].components(),
-                "axpy must be element-wise identical (same op sequence)"
-            );
+        fn check<const N: usize>(rng: &mut SmallRng) {
+            for n in [0usize, 1, 2, 3, 5, 7, 8, 9, 11, 15, 17, 23, 203] {
+                let mut mk = || -> Vec<MultiFloat<f64, N>> {
+                    (0..n)
+                        .map(|_| {
+                            MultiFloat::from(rng.gen_range(-1.0..1.0f64))
+                                .mul(MultiFloat::from(1.0 + rng.gen_range(-1e-9..1e-9f64)))
+                        })
+                        .collect()
+                };
+                let (mut xs, ys) = (mk(), mk());
+                if n >= 11 {
+                    xs[3] = MultiFloat::from(f64::NAN);
+                    xs[8] = MultiFloat::from(f64::INFINITY);
+                    xs[n - 1] = MultiFloat::from(f64::NEG_INFINITY);
+                }
+                let alpha = MultiFloat::<f64, N>::from(-0.517).mul(MultiFloat::from(1.000001));
+                let mut y_aos = ys.clone();
+                kernels::axpy(alpha, &xs, &mut y_aos);
+                let mut y_soa = SoaVec::from_slice(&ys);
+                axpy(alpha, &SoaVec::from_slice(&xs), &mut y_soa);
+                for (i, (w, g)) in y_aos.iter().zip(y_soa.to_vec()).enumerate() {
+                    for (wk, gk) in w.components().into_iter().zip(g.components()) {
+                        if wk.is_nan() {
+                            assert!(gk.is_nan(), "N={N} n={n} i={i}: lost NaN");
+                        } else {
+                            assert_eq!(gk.to_bits(), wk.to_bits(), "N={N} n={n} i={i}");
+                        }
+                    }
+                }
+            }
         }
+        let mut rng = SmallRng::seed_from_u64(911);
+        check::<1>(&mut rng);
+        check::<2>(&mut rng);
+        check::<3>(&mut rng);
+        check::<4>(&mut rng);
     }
 
     #[test]
@@ -421,7 +472,7 @@ mod tests {
         let mut c_disp = c0.clone();
         gemm(al, &a, &b, be, &mut c_disp);
         let mut c_body = c0.clone();
-        gemm_body(al, &a, &b, be, &mut c_body);
+        gemm_rows_body(al, &a, &b, be, &mut c_body.comps, 0, m);
         for k in 0..2 {
             assert_eq!(c_disp.comps[k], c_body.comps[k], "gemm comp {k}");
         }

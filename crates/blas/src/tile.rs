@@ -1,263 +1,40 @@
-//! Cache-blocked (tiled) GEMM over SoA matrices.
+//! Row-parallel GEMM over SoA matrices.
 //!
-//! The flat kernels ([`crate::kernels::gemm`], [`crate::parallel::gemm`])
-//! stream every row of `B` through the cache once per row of `A`: at
-//! production sizes (n >= 256, 16-64 bytes per extended-precision element)
-//! the working set of one `ikj` pass is the whole of `B`, so the inner
-//! AXPY runs at memory speed instead of lane-kernel speed. This module
-//! implements the standard remedy (BLIS-style cache blocking): `C` is cut
-//! into `MC x NC` tiles, each tile's update is computed through `KC`-deep
-//! panels of `A` and `B` that are **packed** into contiguous AoS scratch
-//! buffers sized for cache residency (`alpha*A` row-major, `B` block-major
-//! per `JB`-column block), and the micro-kernel accumulates `JB` columns
-//! of one C row in registers across the whole k-panel. The tile body is
-//! dispatched through [`crate::simd::fma_frame!`] like every other kernel,
-//! turning `two_prod`'s `mul_add` into a single `vfmadd` on AVX2+FMA hosts
-//! (bit-identical — both are correctly rounded).
+//! [`gemm_tiled`] splits the rows of `C` into one
+//! [`chunk_ranges`](crate::parallel::chunk_ranges) range per thread and
+//! runs each range through the one SoA GEMM body, [`soa::gemm_rows`]
+//! (`ikj` order, element-wise AXPY inner loop inside the AVX2+FMA frame),
+//! on the worker pool. The name is kept from the cache-blocked engine it
+//! replaced: packing panels and register-blocking tiles measured slower
+//! than the flat body once that body ran inside the FMA frame, even at
+//! n = 512 (EXPERIMENTS.md ablations 10 and 16).
 //!
-//! **Bitwise contract:** per element, the tiled kernel performs exactly
-//! the serial kernels' operation sequence — `beta*c_ij` (or the `beta == 0`
-//! overwrite) first, then `c_ij += (alpha*a_ik)*b_kj` in ascending `k`
-//! order (k-panels iterate in order, packing folds `alpha` in without
-//! changing the product). The result is therefore bit-identical to
-//! [`crate::soa::gemm`] and [`crate::kernels::gemm`], which the
-//! conformance harness asserts.
+//! **Bitwise contract:** every row runs [`soa::gemm_rows`], so the result
+//! is bit-identical to [`soa::gemm`] and [`crate::kernels::gemm`] at any
+//! thread count, which the conformance harness asserts.
 //!
-//! **Parallelism & degrade:** one pool job per C-tile through the crate's
-//! chunk runner, [`crate::parallel::run_chunks`] (on the worker pool, same
-//! degrade contract as every other dispatch). Each tile task computes
-//! into a thread-local packed C buffer and touches the shared matrix only
-//! in its final write-back, after every scalar operation — so a panicking
-//! scalar leaves its tile of `C` untouched (the runner's output slice for
-//! a tile is empty; there is nothing to snapshot), and the runner degrades
-//! that tile to a serial rerun on the calling thread
-//! (`blas.parallel.degraded_*` telemetry; a second panic propagates with
-//! the kernel name and the tile's row range). Telemetry:
-//! `blas.tile.dispatches`/`blas.tile.tiles`
-//! counters, one `par.gemm.tile` span per tile (arg = tile element count)
-//! under a `par.gemm.tiled` dispatch span, and the `blas.tile.queue_wait`
-//! section sketching dispatch-to-tile-start latency.
+//! **Parallelism & degrade:** the ranges run through the crate's chunk
+//! runner, [`crate::parallel::run_chunks`]. Each range computes into a
+//! private `N`-component buffer and writes its rows of `C` back only
+//! after its last scalar operation, so a panicking range leaves `C`
+//! untouched (there is nothing to snapshot) and the runner reruns it
+//! serially on the calling thread (`blas.parallel.degraded_*` telemetry;
+//! a second panic propagates with the kernel name and the range's rows).
+//! Telemetry: the `blas.tile.dispatches` counter (every call), the
+//! `blas.parallel.*` dispatch counters, and one `par.gemm.tiled.chunk`
+//! span per range (arg = rows) under a `par.gemm.tiled` dispatch span
+//! (arg = rows of `C`), as in [`crate::parallel::gemm`].
 
-use crate::parallel::run_chunks;
-use crate::soa::SoaMatrix;
-use crate::Scalar;
+use crate::parallel::{chunk_ranges, record_dispatch, run_chunks, ChunkedMut};
+use crate::soa::{self, SoaMatrix};
 use mf_core::{FloatBase, MultiFloat};
-use mf_telemetry::{trace, Counter, Section};
-use std::time::Instant;
+use mf_telemetry::{trace, Counter};
 
 static TILE_DISPATCHES: Counter = Counter::new("blas.tile.dispatches");
-static TILE_TILES: Counter = Counter::new("blas.tile.tiles");
-/// Latency from dispatch to each tile task starting (queue wait on the
-/// pool).
-static TILE_QUEUE_WAIT: Section = Section::new("blas.tile.queue_wait");
 
-/// Tile heights/widths (rows/cols of C per tile) and k-panel depth.
-/// Sized so one packed B panel (`KC x NC x N` doubles) plus one packed C
-/// tile stays L2-resident at every supported width N, while NC keeps the
-/// micro-kernel in full `JB`-wide register blocks.
-pub const MC: usize = 32;
-pub const NC: usize = 128;
-pub const KC: usize = 128;
-/// Register-block width: columns of one C row accumulated on the stack
-/// across a whole k-panel (JB independent accumulation chains per sweep).
-const JB: usize = 8;
-
-/// Per-component raw view of a SoA matrix's storage, allowing concurrent
-/// disjoint-tile mutation from pool threads. The pool hands out tile
-/// *indices*; distinct tile indices map to disjoint row/col rectangles
-/// of `C`, so no two concurrently live accesses alias (same argument as
-/// `parallel::ChunkedMut`, lifted to N component arrays).
-struct SoaTiles<'a, T> {
-    comps: Vec<*mut T>,
-    cols: usize,
-    len: usize,
-    _life: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: distinct tile indices address disjoint element rectangles (the
-// only way the pointers are used), so concurrent access from pool
-// threads is data-race-free for any `Send` component type.
-unsafe impl<T: Send> Sync for SoaTiles<'_, T> {}
-
-impl<'a, T: FloatBase> SoaTiles<'a, T> {
-    fn new<const N: usize>(c: &'a mut SoaMatrix<T, N>) -> Self {
-        let cols = c.cols;
-        let len = c.rows * c.cols;
-        SoaTiles {
-            comps: c.comps.iter_mut().map(|v| v.as_mut_ptr()).collect(),
-            cols,
-            len,
-            _life: std::marker::PhantomData,
-        }
-    }
-
-    /// Mutable view of component `q` of row `i`, columns `j0..j1`.
-    ///
-    /// # Safety
-    ///
-    /// The (row, column-range) rectangle must be in bounds and disjoint
-    /// from every other live view; each tile index runs at most once per
-    /// dispatch (the pool's cursor guarantees this).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, q: usize, i: usize, j0: usize, j1: usize) -> &'a mut [T] {
-        debug_assert!(j0 <= j1 && i * self.cols + j1 <= self.len);
-        std::slice::from_raw_parts_mut(self.comps[q].add(i * self.cols + j0), j1 - j0)
-    }
-}
-
-/// One C-tile: half-open row and column ranges.
-#[derive(Clone, Copy, Debug)]
-struct Tile {
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-}
-
-fn tiles_of(rows: usize, cols: usize) -> Vec<Tile> {
-    let mut out = Vec::new();
-    let mut i0 = 0;
-    while i0 < rows {
-        let i1 = (i0 + MC).min(rows);
-        let mut j0 = 0;
-        while j0 < cols {
-            let j1 = (j0 + NC).min(cols);
-            out.push(Tile { i0, i1, j0, j1 });
-            j0 = j1;
-        }
-        i0 = i1;
-    }
-    out
-}
-
-crate::simd::fma_frame! {
-    /// Compute one C-tile through packed panels. The tile of `C` and the
-    /// `alpha*A` / `B` panels are repacked from SoA into AoS scratch buffers
-    /// (`B` block-major: each `JB`-column block stores its `kh` rows
-    /// contiguously, so the micro-kernel streams it with `chunks_exact` —
-    /// no index arithmetic, no bounds checks in the hot loop).
-    ///
-    /// Per element this performs the flat kernels' exact op sequence —
-    /// `beta*c_ij` (or the `beta == 0` overwrite) first, then
-    /// `c_ij.s_mul_acc(alpha*a_ik, b_kj)` in ascending `k` — so the result is
-    /// bit-identical to `soa::gemm` / `kernels::gemm`.
-    fn compute_tile / compute_tile_body [T: FloatBase, const N: usize] (
-        alpha: MultiFloat<T, N>,
-        a: &SoaMatrix<T, N>,
-        b: &SoaMatrix<T, N>,
-        beta: MultiFloat<T, N>,
-        c: &SoaTiles<'_, T>,
-        t: Tile,
-    ) {
-        let (ih, jw) = (t.i1 - t.i0, t.j1 - t.j0);
-        let kdim = a.cols;
-        let full = jw / JB; // full JB-wide column blocks; then a `tail`-wide one
-        let tail = jw - full * JB;
-
-        // Packed C tile (AoS, row-major ih x jw). Load + beta-scale up front
-        // (beta == 0 overwrites: ct already zero).
-        let mut ct: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * jw];
-        if !beta.is_zero() {
-            for r in 0..ih {
-                // SAFETY: this tile's rectangle; disjoint from other tiles.
-                let rows: [&[T]; N] =
-                    core::array::from_fn(|q| &*unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
-                for (x, cij) in ct[r * jw..(r + 1) * jw].iter_mut().enumerate() {
-                    let v: [T; N] = core::array::from_fn(|q| rows[q][x]);
-                    *cij = beta.s_mul(MultiFloat::from_components(v));
-                }
-            }
-        }
-
-        // Panel scratch, reused across k-blocks: alpha*A (row-major, KC
-        // stride; alpha folded in at pack time — the identical product the
-        // flat kernels compute per (i, k), just computed once) and block-major
-        // B (block `blk` holds rows k0..k1 of columns blk*JB.. at width w,
-        // rows contiguous).
-        let mut ap: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * KC];
-        let mut bp: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; KC * jw];
-
-        let mut k0 = 0;
-        while k0 < kdim {
-            let k1 = (k0 + KC).min(kdim);
-            let kh = k1 - k0;
-            for r in 0..ih {
-                for k in 0..kh {
-                    ap[r * KC + k] = alpha.s_mul(a.get(t.i0 + r, k0 + k));
-                }
-            }
-            let mut blk = 0;
-            let mut boff = 0;
-            while blk * JB < jw {
-                let w = JB.min(jw - blk * JB);
-                for k in 0..kh {
-                    for x in 0..w {
-                        let j = t.j0 + blk * JB + x;
-                        let v: [T; N] = core::array::from_fn(|q| b.comps[q][(k0 + k) * b.cols + j]);
-                        bp[boff + k * w + x] = MultiFloat::from_components(v);
-                    }
-                }
-                blk += 1;
-                boff += kh * w;
-            }
-
-            // Register-blocked micro-kernel: each JB-column block of a C tile
-            // row accumulates on the stack across the *entire* k-panel — the
-            // flat kernels reload and restore every c_ij once per k; with the
-            // k loop innermost that round trip disappears, and the JB
-            // independent accumulation chains feed the out-of-order core ILP
-            // that one element's serial `add(mul)` dependency chain cannot.
-            for r in 0..ih {
-                let arow = &ap[r * KC..r * KC + kh];
-                for blk in 0..full {
-                    let bblk = &bp[blk * JB * kh..(blk + 1) * JB * kh];
-                    let cbase = r * jw + blk * JB;
-                    let mut acc: [MultiFloat<T, N>; JB] = core::array::from_fn(|x| ct[cbase + x]);
-                    for (aik, bk) in arow.iter().zip(bblk.chunks_exact(JB)) {
-                        for x in 0..JB {
-                            acc[x] = acc[x].s_mul_acc(*aik, bk[x]);
-                        }
-                    }
-                    ct[cbase..cbase + JB].copy_from_slice(&acc);
-                }
-                if tail > 0 {
-                    let boff = full * JB * kh;
-                    let bblk = &bp[boff..boff + tail * kh];
-                    let cbase = r * jw + full * JB;
-                    let mut acc: [MultiFloat<T, N>; JB] =
-                        core::array::from_fn(|x| ct[cbase + x.min(tail - 1)]);
-                    for (aik, bk) in arow.iter().zip(bblk.chunks_exact(tail)) {
-                        for (x, bkj) in bk.iter().enumerate() {
-                            acc[x] = acc[x].s_mul_acc(*aik, *bkj);
-                        }
-                    }
-                    ct[cbase..cbase + tail].copy_from_slice(&acc[..tail]);
-                }
-            }
-            k0 = k1;
-        }
-
-        // Write the finished tile back: the only shared-matrix mutation,
-        // and it must stay after every scalar operation — a panic before
-        // it leaves the tile untouched, which is what lets the chunk runner
-        // rerun the tile without a snapshot.
-        for r in 0..ih {
-            // SAFETY: this tile's rectangle; disjoint from other tiles.
-            let rows: [&mut [T]; N] =
-                core::array::from_fn(|q| unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
-            for (x, cij) in ct[r * jw..(r + 1) * jw].iter().enumerate() {
-                let comps = cij.components();
-                for q in 0..N {
-                    rows[q][x] = comps[q];
-                }
-            }
-        }
-    }
-}
-
-/// `C <- alpha*A*B + beta*C`, cache-blocked, one pool job per C-tile.
-/// Bit-identical to [`crate::soa::gemm`] / [`crate::kernels::gemm`]
-/// (asserted by the conformance harness) at any thread count.
+/// `C <- alpha*A*B + beta*C`, one row range per thread.
+/// Bit-identical to [`soa::gemm`] / [`crate::kernels::gemm`] (asserted by
+/// the conformance harness) at any thread count.
 pub fn gemm_tiled<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
     a: &SoaMatrix<T, N>,
@@ -281,40 +58,44 @@ pub fn gemm_tiled<T: FloatBase, const N: usize>(
         "gemm_tiled: C is {}x{} but A*B is {}x{}",
         c.rows, c.cols, a.rows, b.cols
     );
+    c.assert_storage("gemm_tiled");
     if c.rows == 0 || c.cols == 0 {
         return;
     }
-    let tiles = tiles_of(c.rows, c.cols);
     if mf_telemetry::ENABLED {
         TILE_DISPATCHES.incr();
-        TILE_TILES.add(tiles.len() as u64);
     }
-    let _sp = trace::span("par.gemm.tiled", (c.rows * c.cols) as u64);
-    let shared = SoaTiles::new(c);
-
-    if threads <= 1 || tiles.len() == 1 {
-        // Serial tiled path: same per-tile computation, no dispatch.
-        for &t in &tiles {
-            let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
-            compute_tile(alpha, a, b, beta, &shared, t);
+    if threads <= 1 {
+        return soa::gemm_rows(alpha, a, b, beta, &mut c.comps, 0, c.rows);
+    }
+    let ranges = chunk_ranges(c.rows, threads);
+    record_dispatch(&ranges);
+    let _sp = trace::span("par.gemm.tiled", c.rows as u64);
+    let n = c.cols;
+    let comps: Vec<ChunkedMut<T>> = c.comps.iter_mut().map(|v| ChunkedMut::new(v)).collect();
+    run_chunks("gemm_tiled", &ranges, &mut [(); 0], 0, &|ci, _| {
+        let (lo, hi) = ranges[ci];
+        let _t = trace::span("par.gemm.tiled.chunk", (hi - lo) as u64);
+        // SAFETY: row ranges are disjoint and each runs once (a degraded
+        // rerun starts after every worker finished), so the component
+        // slices of distinct ranges never alias.
+        let rows: Vec<&mut [T]> = comps
+            .iter()
+            .map(|v| unsafe { v.slice(lo * n, hi * n) })
+            .collect();
+        let mut buf: Vec<Vec<T>> = rows.iter().map(|r| r.to_vec()).collect();
+        soa::gemm_rows(alpha, a, b, beta, &mut buf, lo, hi);
+        // The only write to `C`, after every scalar operation of the range.
+        for (row, v) in rows.into_iter().zip(&buf) {
+            row.copy_from_slice(v);
         }
-        return;
-    }
-
-    let dispatched = Instant::now();
-    let rows: Vec<(usize, usize)> = tiles.iter().map(|t| (t.i0, t.i1)).collect();
-    run_chunks("gemm_tiled", &rows, &mut [(); 0], 0, &|ti, _| {
-        let t = tiles[ti];
-        TILE_QUEUE_WAIT.add_ns(dispatched.elapsed().as_nanos() as u64);
-        let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
-        compute_tile(alpha, a, b, beta, &shared, t)
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soa::{self, SoaMatrix};
+    use crate::{kernels, Matrix};
     use core::fmt;
     use core::ops::{Add, Div, Mul, Neg, Sub};
     use mf_core::F64x2;
@@ -329,11 +110,11 @@ mod tests {
         })
     }
 
+    /// At every thread count in `threads`, the row-parallel kernel is
+    /// bit-identical to the flat SoA kernel and to the AoS kernel.
     fn assert_tiled_matches_flat<const N: usize>(
-        m: usize,
-        k: usize,
-        n: usize,
-        threads: usize,
+        (m, k, n): (usize, usize, usize),
+        threads: &[usize],
         seed: u64,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -345,39 +126,54 @@ mod tests {
 
         let mut c_flat = c0.clone();
         soa::gemm(alpha, &a, &b, beta, &mut c_flat);
-        let mut c_tile = c0.clone();
-        gemm_tiled(alpha, &a, &b, beta, &mut c_tile, threads);
-        for q in 0..N {
-            assert_eq!(
-                c_flat.comps[q], c_tile.comps[q],
-                "N={N} {m}x{k}x{n} t={threads} comp {q}: tiled != flat"
-            );
+        let aos = |s: &SoaMatrix<f64, N>| Matrix::from_fn(s.rows, s.cols, |i, j| s.get(i, j));
+        let mut c_aos = aos(&c0);
+        kernels::gemm(alpha, &aos(&a), &aos(&b), beta, &mut c_aos);
+        for &t in threads {
+            let mut c_tile = c0.clone();
+            gemm_tiled(alpha, &a, &b, beta, &mut c_tile, t);
+            for q in 0..N {
+                assert_eq!(
+                    c_flat.comps[q], c_tile.comps[q],
+                    "N={N} {m}x{k}x{n} t={t} comp {q}: tiled != soa::gemm"
+                );
+            }
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(
+                        c_tile.get(i, j).components().map(f64::to_bits),
+                        c_aos.at(i, j).components().map(f64::to_bits),
+                        "N={N} {m}x{k}x{n} t={t} ({i},{j}): tiled != kernels::gemm"
+                    );
+                }
+            }
         }
     }
 
-    /// Property: at non-multiple-of-tile shapes (1x1, primes, single rows,
-    /// rows < threads, exact tile multiples, and > 1 tile in each
-    /// dimension) the tiled kernel is bit-identical to the flat SoA kernel.
+    /// Property: at awkward shapes (1x1, primes, single rows, rows <
+    /// threads, and the old tile-boundary shapes 32x128x128 and one past
+    /// them) the row-parallel kernel is bit-identical to `soa::gemm` and
+    /// `kernels::gemm` at N = 2, 3 and 4 and threads {1, 2, 3, 8}.
     #[test]
     fn tiled_matches_flat_at_awkward_shapes() {
+        let threads = [1usize, 2, 3, 8];
         let shapes: [(usize, usize, usize); 8] = [
             (1, 1, 1),
             (3, 1, 2),
             (7, 13, 11),
             (31, 37, 29),
-            (MC, KC, NC),
-            (MC + 1, KC + 3, NC + 5),
-            (2 * MC + 7, 17, 2 * NC + 1),
-            (5, 300, 9), // k spans > 2 k-panels
+            (32, 128, 128),
+            (33, 131, 133),
+            (71, 17, 257),
+            (5, 300, 9),
         ];
-        for (idx, &(m, k, n)) in shapes.iter().enumerate() {
-            for threads in [1usize, 2, 5] {
-                assert_tiled_matches_flat::<2>(m, k, n, threads, 2000 + idx as u64);
-            }
+        for (idx, &shape) in shapes.iter().enumerate() {
+            assert_tiled_matches_flat::<2>(shape, &threads, 2000 + idx as u64);
         }
-        // N = 3 exercises the generic-width micro-kernel instantiation.
-        assert_tiled_matches_flat::<3>(19, 23, 17, 3, 2100);
-        assert_tiled_matches_flat::<3>(MC + 2, 5, NC + 2, 2, 2101);
+        for (idx, &shape) in [(2, 3, 2), (5, 9, 17), (19, 23, 17)].iter().enumerate() {
+            assert_tiled_matches_flat::<3>(shape, &threads, 2100 + idx as u64);
+            assert_tiled_matches_flat::<4>(shape, &threads, 2150 + idx as u64);
+        }
     }
 
     #[test]
@@ -403,23 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn tiles_cover_exactly() {
-        for (rows, cols) in [(1, 1), (MC, NC), (MC + 1, NC - 1), (100, 300), (3, 500)] {
-            let ts = tiles_of(rows, cols);
-            let mut covered = vec![false; rows * cols];
-            for t in &ts {
-                for i in t.i0..t.i1 {
-                    for j in t.j0..t.j1 {
-                        assert!(!covered[i * cols + j], "tile overlap at ({i},{j})");
-                        covered[i * cols + j] = true;
-                    }
-                }
-            }
-            assert!(covered.iter().all(|&v| v), "{rows}x{cols} not covered");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "gemm_tiled: A is")]
     fn tiled_rejects_inner_dim_mismatch() {
         let a = SoaMatrix::<f64, 2>::zeros(3, 4);
@@ -428,11 +207,19 @@ mod tests {
         gemm_tiled(F64x2::from(1.0), &a, &b, F64x2::from(0.0), &mut c, 2);
     }
 
-    /// N = 3 at a shape whose tiles exercise both row and column
-    /// remainders under a thread count above the tile count.
+    /// A malformed output matrix (public fields, component vectors shorter
+    /// than `rows * cols`) is rejected before any row view is built.
     #[test]
-    fn tiled_more_threads_than_tiles() {
-        assert_tiled_matches_flat::<3>(2, 3, 2, 16, 2300);
+    #[should_panic(
+        expected = "gemm_tiled: C is 64x64 (2 components of 4096) but its component lengths are [64, 64]"
+    )]
+    fn tiled_rejects_truncated_output_storage() {
+        let a = SoaMatrix::<f64, 2>::zeros(64, 64);
+        let mut c = SoaMatrix::<f64, 2>::zeros(64, 64);
+        for comp in c.comps.iter_mut() {
+            comp.truncate(64);
+        }
+        gemm_tiled(F64x2::from(1.0), &a, &a, F64x2::from(0.0), &mut c, 2);
     }
 
     /// An `f64` whose `Mul` and `mul_add` panic while the fuse is lit:
@@ -581,7 +368,8 @@ mod tests {
         }
     }
 
-    /// Operands spanning 3 x 2 tiles, so `threads > 1` dispatches.
+    /// Operands with 7 rows of `C`: 2 threads dispatch the row ranges
+    /// 0..4 and 4..7, 3 threads 0..3, 3..5 and 5..7.
     fn fused_operands() -> [SoaMatrix<Fused, 2>; 3] {
         let mut rng = SmallRng::seed_from_u64(2400);
         let mut mk = |rows, cols| {
@@ -589,11 +377,12 @@ mod tests {
                 MultiFloat::from_components([Fused(rng.gen_range(-1.0..1.0f64)), Fused(0.0)])
             })
         };
-        [mk(2 * MC + 3, 9), mk(9, NC + 5), mk(2 * MC + 3, NC + 5)]
+        [mk(7, 9), mk(9, 13), mk(7, 13)]
     }
 
-    /// A transient scalar panic inside one tile task is restored and rerun
-    /// serially: the result stays bit-identical to `soa::gemm`.
+    /// A transient scalar panic inside one row range leaves `C` untouched
+    /// and the range is rerun serially: the result stays bit-identical to
+    /// `soa::gemm`.
     #[test]
     fn tiled_transient_panic_recovers_bit_identical() {
         let _fuse = FUSE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -605,12 +394,14 @@ mod tests {
         soa::gemm(alpha, &a, &b, beta, &mut c_ref);
 
         // Count the multiplies of one clean tiled run, then light the fuse
-        // to blow halfway through the next: inside some tile's k-panel
-        // loop, where most of the multiplies are.
+        // to blow at 95% of the next: however the pool schedules the
+        // ranges, the last one running is then past its first row, so a
+        // range that wrote finished rows to `C` before its last scalar op
+        // would be rerun from a half-updated `C`.
         FUSE.store(0, Ordering::SeqCst);
         gemm_tiled(alpha, &a, &b, beta, &mut c0.clone(), 3);
         let total = -FUSE.load(Ordering::SeqCst);
-        FUSE.store(total / 2, Ordering::SeqCst);
+        FUSE.store(total - total / 20, Ordering::SeqCst);
         let mut c_tile = c0.clone();
         gemm_tiled(alpha, &a, &b, beta, &mut c_tile, 3);
         let fired = FUSE.swap(0, Ordering::SeqCst) < 0;
@@ -618,21 +409,21 @@ mod tests {
         for q in 0..2 {
             assert_eq!(
                 c_tile.comps[q], c_ref.comps[q],
-                "comp {q}: degraded tile diverged"
+                "comp {q}: degraded range diverged"
             );
         }
     }
 
     /// A panic that survives the serial retry propagates with the kernel
-    /// name, the failing tile's row range (the first tile: rows 0..MC) and
-    /// the scalar's own message. The fuse stays lit after the panic; every
+    /// name, the failing row range (the first of 2: rows 0..4) and the
+    /// scalar's own message. The fuse stays lit after the panic; every
     /// test that uses `Fused` sets it first.
     #[test]
     #[should_panic(
-        expected = "mf-blas gemm_tiled: worker and serial retry both panicked on chunk 0..32: \
+        expected = "mf-blas gemm_tiled: worker and serial retry both panicked on chunk 0..4: \
                     fused scalar blew its fuse"
     )]
-    fn tiled_persistent_panic_names_kernel_and_tile() {
+    fn tiled_persistent_panic_names_kernel_and_range() {
         let _fuse = FUSE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let [a, b, mut c] = fused_operands();
         let one = MultiFloat::from_components([Fused(1.0), Fused(0.0)]);
