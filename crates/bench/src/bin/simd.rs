@@ -18,8 +18,10 @@
 //! `--dump <path>` skips measurement: it runs a fixed seeded workload
 //! through the *env-selected* realization (`MF_SIMD`) across every
 //! dispatched kernel shape (dot/axpy/gemv/gemm/gemm-tiled, N ∈ {2,3,4},
-//! odd tails included; the AoS `parallel::{dot,gemv}` at threads 1 and 2
-//! and `dot_adaptive`/`gemv_adaptive` at N = 2) and writes the result bits
+//! odd tails included; the AoS `parallel::{dot,gemv}` at threads 1 and 2,
+//! `dot_adaptive`/`gemv_adaptive` at N = 2, and `tile::gemm_tiled` at
+//! threads 1, 2 and 3, so the threaded private-buffer row ranges are
+//! covered too) and writes the result bits
 //! as hex lines. The
 //! forced-ISA CI matrix `cmp`s dumps across `MF_SIMD` values: any
 //! realization-dependent bit is a hard diff, with the file as artifact.
@@ -191,6 +193,20 @@ fn dump_bits(path: &str) {
         for j in 0..p {
             dump_mf(&mut out, &format!("gemm/{i}/{j}"), c.get(i, j));
             dump_mf(&mut out, &format!("gemm-tiled/{i}/{j}"), ct.get(i, j));
+        }
+    }
+    // The threaded tiled GEMM: each row range runs into a private buffer.
+    for threads in [2usize, 3] {
+        let mut ct = c0.clone();
+        tile::gemm_tiled(alpha, &a, &b, beta, &mut ct, threads);
+        for i in 0..m {
+            for j in 0..p {
+                dump_mf(
+                    &mut out,
+                    &format!("gemm-tiled/t{threads}/{i}/{j}"),
+                    ct.get(i, j),
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
-//! SoA-vs-AoS GEMM and mixed-precision iterative-refinement benchmarks
-//! (DESIGN.md §10).
+//! SoA-vs-AoS GEMM, the `f64` solver kernels and mixed-precision
+//! iterative-refinement benchmarks (DESIGN.md §10).
 //!
-//! Two workloads:
+//! Three workloads:
 //!
 //! 1. `MultiFloat<f64, 2>` GEMM at n ∈ {64, 256}: the row-parallel AoS
 //!    path (`parallel::gemm`, kernel `flat`) against the row-parallel SoA
@@ -17,6 +17,11 @@
 //!    residuals (`IR/hilbert64/x2`, `IR/hilbert64/x4`) — the O(n²)
 //!    extended-precision residual sweep is the part the paper's kernels
 //!    accelerate, so its cost per step is what the history tracks.
+//! 3. The `f64` half of refinement at n = 256 on a random matrix:
+//!    `mf_solve::lu_factor` (`LU/256/f64`, the blocked register-tiled
+//!    factorization, `2n³/3` flops) and one `LuFactors::solve` from its
+//!    factors (`TRSV/256/f64`: permute, forward and back substitution,
+//!    `2n²` flops). Their rates are Gflop/s.
 //!
 //! Usage:
 //!   cargo run --release -p mf-bench --bin solve -- \
@@ -28,7 +33,7 @@ use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunMani
 use mf_blas::soa::SoaMatrix;
 use mf_blas::{parallel, tile, Matrix};
 use mf_core::F64x2;
-use mf_solve::{hilbert, lu_factor, refine::refine_with_factors, RefineOptions};
+use mf_solve::{hilbert, lu_factor, refine::refine_with_factors, MatrixF64, RefineOptions};
 use std::time::Instant;
 
 const USAGE: &str = "[--threads <n>] [--manifest <json>] [--trace <json>] [--profile <folded>]";
@@ -37,6 +42,8 @@ const IR_N: usize = 64;
 /// Fixed refinement steps per timed call (tol 0 disables the convergence
 /// early-out so every iteration does identical work).
 const IR_STEPS: usize = 2;
+/// Order of the `f64` LU and triangular-solve kernels.
+const F64_N: usize = 256;
 
 /// Gop/s samples (ops per ns), the same conversion
 /// `history::record_measurement` applies.
@@ -202,6 +209,25 @@ fn main() {
         history::record_measurement(&format!("IR/hilbert{IR_N}/{label}"), &m);
         eprintln!("IR   n={IR_N:>4} {label:<4} {:>9.4} Gop/s", m.gops);
     }
+
+    // The `f64` half: factor a random (almost surely nonsingular) matrix,
+    // then solve from its factors.
+    let n = F64_N;
+    let va = rand_f64s(14, n * n);
+    let a = MatrixF64::from_fn(n, n, |i, j| va[i * n + j]);
+    let lu_ops = 2.0 * (n * n * n) as f64 / 3.0;
+    let m = measure_gops_detailed(lu_ops, min_secs, || {
+        sink(lu_factor(&a).expect("random matrix is nonsingular").lu.data[0]);
+    });
+    history::record_measurement(&format!("LU/{n}/f64"), &m);
+    eprintln!("LU   n={n:>4} f64  {:>9.4} Gflop/s", m.gops);
+    let factors = lu_factor(&a).expect("random matrix is nonsingular");
+    let bvec = rand_f64s(15, n);
+    let m = measure_gops_detailed((2 * n * n) as f64, min_secs, || {
+        sink(factors.solve(&bvec)[0]);
+    });
+    history::record_measurement(&format!("TRSV/{n}/f64"), &m);
+    eprintln!("TRSV n={n:>4} f64  {:>9.4} Gflop/s", m.gops);
 
     // In-process ablation verdicts: AoS (`flat`) is the baseline, SoA
     // (`tile`) the current side, so `improvement` == SoA confidently faster.

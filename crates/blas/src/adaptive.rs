@@ -319,7 +319,7 @@ impl Judge {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// Detector inputs of one dot chunk: operand finiteness, the naive
     /// `f64` head sum `Σ x.hi·y.hi` and its magnitude `Σ |x.hi·y.hi|`.
     fn dot_detect / dot_detect_body [] (x: &[F64x2], y: &[F64x2]) -> (bool, f64, f64) {
@@ -336,7 +336,7 @@ crate::simd::fma_frame! {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// Detector inputs of one axpy chunk before its update: finiteness of
     /// `alpha`, `x` and the pre-kernel `y`, the naive `f64` sum
     /// `Σ (alpha.hi·x.hi + y.hi)` and its magnitude.
@@ -359,7 +359,7 @@ crate::simd::fma_frame! {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// The [`Judge`] of one axpy chunk's updated values.
     fn axpy_judge / axpy_judge_body [] (finite: bool, y: &[F64x2]) -> (bool, f64) {
         let mut judge = Judge::default();

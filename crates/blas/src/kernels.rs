@@ -6,7 +6,7 @@
 //! loop ordering for GEMM").
 //!
 //! Every public kernel is runtime-dispatched through
-//! [`crate::simd::fma_frame!`]: on x86-64 with AVX2+FMA detected the loop
+//! [`crate::fma_frame!`]: on x86-64 with AVX2+FMA detected the loop
 //! body is compiled with those features enabled, so the EFT `mul_add`s
 //! lower to `vfmadd` instructions instead of soft-float libm calls. Both
 //! lowerings are correctly rounded, so the dispatched and portable builds
@@ -18,7 +18,7 @@
 use crate::{Matrix, Scalar};
 use mf_telemetry::audit::{self, OpClass};
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// Dispatch half of [`axpy`] (audit sampling lives in the wrapper).
     pub fn axpy_dispatched / axpy_body [S: Scalar] (alpha: S, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), y.len());
@@ -44,7 +44,7 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// Dispatch half of [`dot`] (audit sampling lives in the wrapper).
     pub fn dot_dispatched / dot_body [S: Scalar] (x: &[S], y: &[S]) -> S {
         assert_eq!(x.len(), y.len());
@@ -77,7 +77,7 @@ pub(crate) fn audit_dot<S: Scalar>(x: &[S], y: &[S]) {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// [`gemv`] over the row block `lo..lo + y.len()`:
     /// `y[r] <- alpha * A[lo + r] · x + beta * y[r]`. The `beta == 0`
     /// branch is hoisted out of the row loop; the loop bodies stay
@@ -113,7 +113,7 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S]) {
     gemv_rows(alpha, a, x, beta, y, 0)
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// GEMM over the output row block `lo..hi`, held in `c` (row-major,
     /// `b.cols` wide): `C[lo..hi] <- alpha * A[lo..hi] * B + beta * C[lo..hi]`,
     /// `ikj` loop order.

@@ -266,23 +266,18 @@ pub(crate) trait VLane: FloatBase {
     fn lanes(&self) -> &[Self::Elem];
     fn lanes_mut(&mut self) -> &mut [Self::Elem];
 
-    /// Masked load: fills the first `min(s.len(), WIDTH)` lanes and
-    /// zero-pads the rest. Zero lanes are inert through the element-wise
-    /// FPANs — they can only *weaken* the `FastTwoSum` exponent
-    /// preconditions (both sides' lane-max exponents move toward
-    /// `exponent(0)` monotonically), never falsely trip them.
+    /// Full-width load of the first `WIDTH` values of `s`.
     #[inline(always)]
     fn load(s: &[Self::Elem]) -> Self {
         let mut v = Self::ZERO;
-        let take = s.len().min(Self::WIDTH);
-        v.lanes_mut()[..take].copy_from_slice(&s[..take]);
+        v.lanes_mut().copy_from_slice(&s[..Self::WIDTH]);
         v
     }
 
-    /// Array-of-structs block load: lane `l` of vector `k` is component
-    /// `k` of `src[l]`, zero past `src.len()` (`<= WIDTH`), as
-    /// [`VLane::load`] pads. Realizations may override it with a register
-    /// transpose; every override must produce these lanes exactly.
+    /// Array-of-structs block load of `WIDTH` elements: lane `l` of
+    /// vector `k` is component `k` of `src[l]`. Realizations may override
+    /// it with a register transpose; every override must produce these
+    /// lanes exactly.
     #[inline(always)]
     fn load_aos<const N: usize>(src: &[MultiFloat<Self::Elem, N>]) -> [Self; N] {
         gather_aos(src)
@@ -294,7 +289,7 @@ pub(crate) trait VLane: FloatBase {
 #[inline(always)]
 pub(crate) fn gather_aos<V: VLane, const N: usize>(src: &[MultiFloat<V::Elem, N>]) -> [V; N] {
     let mut v = [V::ZERO; N];
-    for (l, e) in src.iter().enumerate().take(V::WIDTH) {
+    for (l, e) in src[..V::WIDTH].iter().enumerate() {
         let c = e.components();
         for k in 0..N {
             v[k].lanes_mut()[l] = c[k];
@@ -323,9 +318,8 @@ impl<T: FloatBase, const L: usize> VLane for Lanes<T, L> {
 /// parameter of the load only: the FPAN graph, the lane structure and
 /// therefore the bits are the same for SoA and AoS operands.
 pub(crate) trait Operand<E: FloatBase, const N: usize> {
-    /// Components of elements `i..i + len` (`len <= V::WIDTH`) as `N` lane
-    /// vectors, zero-padded past `len` like [`VLane::load`].
-    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N];
+    /// Components of elements `i..i + V::WIDTH` as `N` lane vectors.
+    fn block<V: VLane<Elem = E>>(&self, i: usize) -> [V; N];
 
     /// Components of element `i`.
     fn at(&self, i: usize) -> [E; N];
@@ -344,8 +338,8 @@ impl<'a, E: FloatBase, const N: usize> Soa<'a, E, N> {
 
 impl<E: FloatBase, const N: usize> Operand<E, N> for Soa<'_, E, N> {
     #[inline(always)]
-    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N] {
-        core::array::from_fn(|k| V::load(&self.0[k][i..i + len]))
+    fn block<V: VLane<Elem = E>>(&self, i: usize) -> [V; N] {
+        core::array::from_fn(|k| V::load(&self.0[k][i..]))
     }
 
     #[inline(always)]
@@ -355,12 +349,12 @@ impl<E: FloatBase, const N: usize> Operand<E, N> for Soa<'_, E, N> {
 }
 
 /// Array-of-structs operand, read in place: a block load gathers the `N`
-/// components of `len` consecutive elements into `N` lane vectors
+/// components of `WIDTH` consecutive elements into `N` lane vectors
 /// ([`VLane::load_aos`]).
 impl<E: FloatBase, const N: usize> Operand<E, N> for [MultiFloat<E, N>] {
     #[inline(always)]
-    fn block<V: VLane<Elem = E>>(&self, i: usize, len: usize) -> [V; N] {
-        V::load_aos(&self[i..i + len])
+    fn block<V: VLane<Elem = E>>(&self, i: usize) -> [V; N] {
+        V::load_aos(&self[i..i + V::WIDTH])
     }
 
     #[inline(always)]
@@ -389,8 +383,8 @@ where
     let mut acc = [V::ZERO; N];
     let chunks = n / w;
     for c in 0..chunks {
-        let xi: [V; N] = x.block(c * w, w);
-        let yi: [V; N] = y.block(c * w, w);
+        let xi: [V; N] = x.block(c * w);
+        let yi: [V; N] = y.block(c * w);
         acc = addition::add(&acc, &multiplication::mul(&xi, &yi));
     }
     // Reduce the lanes in place: lane l absorbs lane l + ceil(width/2),
@@ -663,25 +657,20 @@ mod tests {
         assert_eq!(n.partial_cmp(&a), None);
     }
 
-    /// The masked [`VLane::load`] at every length `0..=L`: short loads
-    /// zero-fill, and NaN / inf / subnormal / `-0.0` load bitwise.
+    /// [`VLane::load`] copies NaN / inf / subnormal / `-0.0` lanes
+    /// bitwise.
     #[test]
-    fn partial_load_zero_fills() {
+    fn full_width_load_is_bitwise() {
         const L: usize = SIMD_LANES;
-        for len in 0..=L {
-            let src: Vec<f64> = (0..len).map(|i| -(i as f64) - 1.0).collect();
-            let v = Lanes::<f64, L>::load(&src);
-            for l in 0..L {
-                let want = if l < len { -(l as f64) - 1.0 } else { 0.0 };
-                assert_eq!(v.0[l], want, "len={len} lane {l}");
-            }
-        }
         let specials = [
             f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::MIN_POSITIVE / 2.0,
             -0.0,
+            0.0,
+            -1.5,
+            f64::MAX,
         ];
         let v = Lanes::<f64, L>::load(&specials);
         for (i, s) in specials.iter().enumerate() {

@@ -291,7 +291,7 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
     partials.into_iter().fold(S::s_zero(), S::s_add)
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// GEMV over the row block `lo..lo + y.len()`, each row's dot through
     /// [`Scalar::s_dot_chunk`]: `y[r] <- alpha * A[lo + r] · x + beta * y[r]`,
     /// with `beta == 0` overwriting as in [`kernels::gemv`]. The body of

@@ -36,10 +36,10 @@
 //!    auto-selection can pick; there is no opt-in-only ISA (DESIGN.md §12).
 //!
 //! `MF_SIMD=scalar` also disables the AVX2+FMA `#[target_feature]` frames
-//! that every other kernel enters through [`fma_frame!`] (via
-//! [`fma_frame_allowed`]), so one env var pins *every* layer to portable
-//! codegen — that is what makes the forced-ISA CI matrix a like-for-like
-//! bit comparison.
+//! that every other kernel, in this crate and in `mf-solve`, enters
+//! through [`fma_frame!`](crate::fma_frame!) (via [`fma_frame_allowed`]),
+//! so one env var pins *every* layer to portable codegen — that is what
+//! makes the forced-ISA CI matrix a like-for-like bit comparison.
 
 use crate::lanes::{lockstep_dot, Lanes, Operand, Soa, VLane};
 use core::any::TypeId;
@@ -184,14 +184,16 @@ pub fn force(isa: Isa) {
     ACTIVE.store(isa.to_u8(), Ordering::Relaxed);
 }
 
-/// Whether the AVX2+FMA `#[target_feature]` frames of [`fma_frame!`] may
-/// be entered: true exactly when the active realization is AVX2 — whose
-/// `supported()` detected both features — and false under
-/// `MF_SIMD=scalar`, pinning every dispatch layer to portable codegen at
-/// once.
+/// Whether the AVX2+FMA `#[target_feature]` frames of
+/// [`fma_frame!`](crate::fma_frame!) may be entered: true exactly when the
+/// active realization is AVX2 — whose `supported()` detected both
+/// features — and false under `MF_SIMD=scalar`, pinning every dispatch
+/// layer to portable codegen at once.
+///
+/// Public only for the expansion of the exported macro in other crates.
+#[doc(hidden)]
 #[inline]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-gated
-pub(crate) fn fma_frame_allowed() -> bool {
+pub fn fma_frame_allowed() -> bool {
     frames_allowed(active())
 }
 
@@ -211,6 +213,10 @@ fn frames_allowed(isa: Isa) -> bool {
 /// paths are bit-identical, and the check is one cached atomic load per
 /// call. Generic parameters go in brackets:
 /// `fn name / body [S: Scalar] (args) -> Ret { ... }`.
+///
+/// Exported so every crate of the stack enters its kernels through this
+/// one frame and `MF_SIMD=scalar` pins them all.
+#[macro_export]
 macro_rules! fma_frame {
     ($(#[$doc:meta])* $vis:vis fn $name:ident / $body:ident [$($gen:tt)*]
      ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $code:block) => {
@@ -237,7 +243,6 @@ macro_rules! fma_frame {
         }
     };
 }
-pub(crate) use fma_frame;
 
 // ---------------------------------------------------------------------------
 // The vector-lane realizations
@@ -593,22 +598,25 @@ mod avx2 {
             }
         }
 
-        /// AoS block load. Full blocks at `N = 2` and `N = 4` transpose in
+        /// AoS block load. At `N = 2` and `N = 4` the block transposes in
         /// registers: four elements per `__m256d` half, unpack pairs of
-        /// loads, then a cross-lane permute. Every other shape (tails,
-        /// `N = 1, 3`) takes the lane-by-lane gather. Both produce the
-        /// lanes of [`crate::lanes::gather_aos`] exactly.
+        /// loads, then a cross-lane permute; `N = 1, 3` take the
+        /// lane-by-lane gather. Both produce the lanes of
+        /// [`crate::lanes::gather_aos`] exactly.
         #[inline(always)]
         fn v_load_aos<const N: usize>(src: &[MultiFloat<f64, N>]) -> [Self; N] {
-            if src.len() != LANES || (N != 2 && N != 4) {
+            if N != 2 && N != 4 {
                 return crate::lanes::gather_aos(src);
             }
+            let src = &src[..LANES];
             let mut v = [V8Avx2([0.0; LANES]); N];
             // `MultiFloat` is `repr(transparent)` over `[f64; N]`, so the
             // block is `LANES * N` contiguous f64, element-major.
             let p = src.as_ptr() as *const f64;
-            // SAFETY: as for `lanewise2`; every load reads inside the
-            // `LANES * N` values of `src`, every store inside one `[f64; 8]`.
+            // SAFETY: as for `lanewise2`; `src` was just cut to exactly
+            // `LANES` elements (the slice panics if it is shorter), so every
+            // load reads inside its `LANES * N` values, and every store
+            // lands inside one `[f64; 8]`.
             unsafe {
                 for h in 0..2 {
                     let o = 4 * h;

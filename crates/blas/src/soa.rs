@@ -19,7 +19,7 @@
 //! compiler vectorizes it, and explicit lanes measured slower there
 //! (EXPERIMENTS.md ablation 16). [`gemm_rows`] is also the body of the
 //! row-parallel [`crate::tile::gemm_tiled`]. Every entry point is
-//! dispatched through [`crate::simd::fma_frame!`].
+//! dispatched through [`crate::fma_frame!`].
 
 use mf_core::{addition, multiplication, FloatBase, MultiFloat};
 
@@ -182,7 +182,7 @@ fn axpy_at<T: FloatBase, const N: usize>(
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// `y <- alpha*x + y` over SoA vectors.
     pub fn axpy / axpy_body [T: FloatBase, const N: usize] (
         alpha: MultiFloat<T, N>,
@@ -194,7 +194,7 @@ crate::simd::fma_frame! {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// Dot product through the lock-step lane reduction.
     pub fn dot / dot_body [T: FloatBase, const N: usize] (
         x: &SoaVec<T, N>,
@@ -205,7 +205,7 @@ crate::simd::fma_frame! {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// `y <- alpha*A*x + beta*y`, `ij` order, SoA layout.
     pub fn gemv / gemv_body [T: FloatBase, const N: usize] (
         alpha: MultiFloat<T, N>,
@@ -232,7 +232,7 @@ crate::simd::fma_frame! {
     }
 }
 
-crate::simd::fma_frame! {
+crate::fma_frame! {
     /// GEMM over the output row block `lo..hi`, held in `c` (`N` component
     /// vectors, row-major, `b.cols` wide):
     /// `C[lo..hi] <- alpha * A[lo..hi] * B + beta * C[lo..hi]`, `ikj` order

@@ -16,8 +16,9 @@
 //!
 //! Contents:
 //!
-//! * [`lu`] — `f64` LU with partial pivoting ([`lu::LuFactors`]), forward/
-//!   back substitution, and the triangular solves they build on;
+//! * [`lu`] — `f64` LU with partial pivoting ([`lu::LuFactors`]), blocked
+//!   and register-tiled with the textbook loop's bits, and the
+//!   8-accumulator forward/back substitutions;
 //! * [`qr`] — Householder QR ([`qr::QrFactors`]) for square and
 //!   least-squares systems;
 //! * [`refine`] — mixed-precision iterative refinement
@@ -28,8 +29,10 @@
 //!
 //! Telemetry (feature-gated no-ops otherwise): the
 //! `solve.refine.iterations` gauge holds the iteration count of the most
-//! recent refinement, and each refinement pass runs under a
-//! `solve.refine.step` span.
+//! recent refinement; `lu_factor`, `LuFactors::solve` and
+//! `residual_extended` run under the spans `solve.lu`, `solve.trisolve`
+//! and `solve.residual`, and each refinement pass runs under a
+//! `solve.refine.step` span that holds its residual and its solve.
 
 pub mod lu;
 pub mod qr;

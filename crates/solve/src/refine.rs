@@ -86,6 +86,7 @@ pub fn residual_extended<const N: usize>(a: &MatrixF64, b: &[f64], x: &[f64]) ->
         b.len(),
         x.len()
     );
+    let _sp = trace::span("solve.residual", a.rows as u64);
     let n = a.cols;
     let mut xc = vec![vec![0.0; n]; N];
     xc[0].copy_from_slice(x);
@@ -688,6 +689,75 @@ mod tests {
                 assert!((xi - scale * ri).abs() <= 1e-12, "{xi} vs {}", scale * ri);
             }
         }
+    }
+
+    /// With telemetry on, a traced refinement shows the solver's layers
+    /// nested on its thread: `solve.lu`, the initial `solve.trisolve`,
+    /// then every `solve.refine.step` holding one `solve.residual` and one
+    /// `solve.trisolve`, and the final `solve.residual`.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn traced_refinement_nests_solver_spans() {
+        use mf_telemetry::json::Json;
+        use mf_telemetry::trace;
+        trace::arm();
+        // No other test in this binary solves at this order, so the span
+        // args key this test's events.
+        let n = 43;
+        let mut rng = SmallRng::seed_from_u64(7106);
+        let a = MatrixF64::from_fn(n, n, |i, j| {
+            if i == j {
+                n as f64
+            } else {
+                rng.gen_range(-1.0..1.0)
+            }
+        });
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let out = std::thread::spawn(move || refine_lu::<2>(&a, &b, RefineOptions::default()))
+            .join()
+            .expect("refinement thread")
+            .expect("non-singular");
+        assert!(out.iterations >= 1);
+
+        let doc = trace::chrome_trace();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let field = |e: &Json, k: &str| e.get(k).and_then(|v| v.as_str()).map(str::to_owned);
+        let tid = |e: &Json| e.get("tid").and_then(|v| v.as_u64());
+        let lu = events
+            .iter()
+            .find(|e| {
+                field(e, "name").as_deref() == Some("solve.lu")
+                    && e.get("args")
+                        .and_then(|a| a.get("arg"))
+                        .and_then(|v| v.as_u64())
+                        == Some(n as u64)
+            })
+            .expect("solve.lu span");
+        // Rebuild the span tree of that thread: (name, children) at the
+        // top level.
+        let mut stack: Vec<(String, Vec<String>)> = vec![(String::new(), Vec::new())];
+        for e in events.iter().filter(|e| tid(e) == tid(lu)) {
+            let name = field(e, "name").unwrap();
+            if field(e, "ph").as_deref() == Some("B") {
+                stack.push((name, Vec::new()));
+            } else {
+                let (closed, children) = stack.pop().unwrap();
+                assert_eq!(closed, name, "balanced spans");
+                if closed == "solve.refine.step" {
+                    assert_eq!(
+                        children,
+                        ["solve.residual", "solve.trisolve"],
+                        "step children"
+                    );
+                }
+                stack.last_mut().unwrap().1.push(closed);
+            }
+        }
+        let top = &stack[0].1;
+        let mut want = vec!["solve.lu", "solve.trisolve"];
+        want.extend(std::iter::repeat_n("solve.refine.step", out.iterations));
+        want.push("solve.residual");
+        assert_eq!(top, &want, "top-level spans");
     }
 
     #[test]
